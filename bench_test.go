@@ -29,7 +29,7 @@ import (
 )
 
 // BenchmarkFig3DSETrajectories regenerates Fig. 3: S2FA vs vanilla
-// OpenTuner DSE trajectories for all eight kernels.
+// OpenTuner DSE trajectories for every kernel.
 func BenchmarkFig3DSETrajectories(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := exp.NewSuite(1)
@@ -37,34 +37,14 @@ func BenchmarkFig3DSETrajectories(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(r.Series) != 8 {
-			b.Fatalf("got %d series", len(r.Series))
-		}
-	}
-}
-
-// BenchmarkFig3DSETrajectoriesPar8 is the same regeneration on the
-// concurrent engine with an 8-goroutine evaluation pool (cmd/s2fa -par 8).
-// The result is byte-identical to the sequential run; only wall-clock
-// changes. On a multi-core machine this is the headline speedup of the
-// parallel engine; on one core it measures its overhead.
-func BenchmarkFig3DSETrajectoriesPar8(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := exp.NewSuite(1)
-		s.Engine = dse.EngineParallel
-		s.Parallelism = 8
-		r, err := exp.Fig3(s, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(r.Series) != 8 {
-			b.Fatalf("got %d series", len(r.Series))
+		if len(r.Series) != len(exp.AppNames()) {
+			b.Fatalf("got %d series, want %d", len(r.Series), len(exp.AppNames()))
 		}
 	}
 }
 
 // BenchmarkFig4Speedups regenerates Fig. 4: manual and S2FA design
-// speedups over the JVM for all eight kernels.
+// speedups over the JVM for every kernel.
 func BenchmarkFig4Speedups(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := exp.NewSuite(1)
@@ -87,8 +67,8 @@ func BenchmarkTable1DesignSpaces(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(rows) != 8 {
-			b.Fatalf("got %d rows", len(rows))
+		if len(rows) != len(exp.AppNames()) {
+			b.Fatalf("got %d rows, want %d", len(rows), len(exp.AppNames()))
 		}
 	}
 }
@@ -102,8 +82,8 @@ func BenchmarkTable2ResourceUtilization(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(rows) != 8 {
-			b.Fatalf("got %d rows", len(rows))
+		if len(rows) != len(exp.AppNames()) {
+			b.Fatalf("got %d rows, want %d", len(rows), len(exp.AppNames()))
 		}
 	}
 }
@@ -122,7 +102,7 @@ func BenchmarkStoppingCriteriaAblation(b *testing.B) {
 // --- Pipeline micro-benchmarks ---
 
 // BenchmarkFrontend measures kdsl parsing + type checking + bytecode
-// generation across all eight kernels.
+// generation across every kernel.
 func BenchmarkFrontend(b *testing.B) {
 	srcs := make([]string, 0, 8)
 	for _, a := range apps.All() {
@@ -139,7 +119,7 @@ func BenchmarkFrontend(b *testing.B) {
 }
 
 // BenchmarkBytecodeToC measures the decompiler (CFG, lifting,
-// structuring, flattening) across all eight kernels.
+// structuring, flattening) across every kernel.
 func BenchmarkBytecodeToC(b *testing.B) {
 	var cls []*apps.App
 	for _, a := range apps.All() {

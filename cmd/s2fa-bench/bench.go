@@ -1,21 +1,21 @@
 package main
 
 // Performance baseline mode: `-bench FILE` measures the Fig. 3
-// regeneration on both DSE engines and both JVM-baseline engines
-// (closure-compiled JIT vs interpreter) plus the pipeline-stage micros
-// and writes them as JSON; `-bench-check FILE` re-measures and fails on
-// regression against the committed baseline. Wall-clock comparisons are
-// only meaningful on matching hardware, so every gate is conditional:
+// regeneration with both JVM-baseline engines (closure-compiled JIT vs
+// interpreter) plus the pipeline-stage micros and writes them as JSON;
+// `-bench-check FILE` re-measures and fails on regression against the
+// committed baseline. Wall-clock comparisons are only meaningful on
+// matching hardware, so every wall-clock gate is conditional:
 //
-//   - speedup >= minSpeedup and the JIT >= minJITSpeedup gate are
-//     enforced only when the current machine has at least 4 CPUs (the
-//     PR 4 convention: timing gates are meaningless on starved runners);
+//   - the JIT >= minJITSpeedup gate is enforced only when the current
+//     machine has at least 4 CPUs (timing gates are meaningless on
+//     starved runners);
 //   - the >20% regression gates apply only when the committed baseline
 //     was recorded on a machine with the same CPU count.
 //
 // Besides wall-clock, the mode cross-checks determinism: the Fig. 3 and
-// Fig. 4 renders must be byte-identical across the sequential engine,
-// the parallel engine, and with the JVM-baseline JIT on or off.
+// Fig. 4 renders must be byte-identical with the JVM-baseline JIT on or
+// off.
 
 import (
 	"encoding/json"
@@ -30,7 +30,6 @@ import (
 	"s2fa/internal/b2c"
 	"s2fa/internal/ccache"
 	"s2fa/internal/compile"
-	"s2fa/internal/dse"
 	"s2fa/internal/exp"
 	"s2fa/internal/fpga"
 	"s2fa/internal/hls"
@@ -42,8 +41,6 @@ import (
 )
 
 const (
-	benchParallelism = 8
-	minSpeedup       = 2.0
 	// minJITSpeedup gates the closure-compiled JVM engine against the
 	// interpreter on the S-W batch (the heaviest baseline workload).
 	minJITSpeedup   = 3.0
@@ -62,20 +59,18 @@ type benchReport struct {
 	Cores     int    `json:"cores"`
 	// MaxProcs records GOMAXPROCS at measurement time: a container quota
 	// or explicit cap can leave it well below Cores, which changes what
-	// the parallel-engine numbers mean when comparing runs.
+	// the Fig. 3 wall-clock means when comparing runs (Fig. 3 computes
+	// its apps concurrently).
 	MaxProcs int `json:"gomaxprocs"`
-	// Fig3SequentialMS / Fig3ParallelMS are the wall-clock of one full
-	// Fig. 3 regeneration (8 apps, S2FA + vanilla DSE, JVM baselines) on
-	// each DSE engine with the JVM-baseline JIT on; Speedup is their
-	// ratio. Fig3SeqNoJITMS is the sequential run with the baselines
-	// interpreted — the pre-JIT reference wall-clock.
+	// Fig3SequentialMS is the wall-clock of one full Fig. 3 regeneration
+	// (every app, S2FA + vanilla DSE, JVM baselines) with the
+	// JVM-baseline JIT on; each DSE runs on the sequential engine, the
+	// apps run concurrently. Fig3SeqNoJITMS is the same run with the
+	// baselines interpreted — the pre-JIT reference wall-clock.
 	Fig3SequentialMS float64 `json:"fig3_sequential_ms"`
 	Fig3SeqNoJITMS   float64 `json:"fig3_seq_nojit_ms"`
-	Fig3ParallelMS   float64 `json:"fig3_par8_ms"`
-	ParallelPool     int     `json:"parallel_pool"`
-	Speedup          float64 `json:"speedup"`
 	// JVMBaselineInterpMS / JVMBaselineJITMS are the wall-clock of the
-	// suite's JVM-baseline calibration (all 8 apps) on each engine; the
+	// suite's JVM-baseline calibration (every app) on each engine; the
 	// share fields express them as a percentage of the corresponding
 	// Fig. 3 regeneration — the serial cost center the JIT shrinks.
 	JVMBaselineInterpMS float64 `json:"jvm_baseline_interp_ms"`
@@ -84,13 +79,6 @@ type benchReport struct {
 	JVMShareAfterPct    float64 `json:"jvm_share_after_pct"`
 	// JITSpeedupSW is interpreter/JIT wall-clock on the S-W task batch.
 	JITSpeedupSW float64 `json:"jit_speedup_sw"`
-	// Scaling is the -cores sweep: one full Fig. 3 regeneration per pool
-	// size from 1 to GOMAXPROCS, each verified byte-identical to the
-	// sequential render. It is the in-repo data behind the parallel
-	// engine's speedup gate — on a multi-core runner the curve shows
-	// where the replay-ordered merge stops scaling. Empty unless the
-	// sweep was requested.
-	Scaling []scalePoint `json:"scaling,omitempty"`
 	// StageMicros are per-stage single-threaded microbenchmarks (us/op),
 	// mirroring the Benchmark* micros in bench_test.go.
 	StageMicros map[string]float64 `json:"stage_micros"`
@@ -122,15 +110,6 @@ type benchReport struct {
 type stagePct struct {
 	P50 float64 `json:"p50"`
 	P99 float64 `json:"p99"`
-}
-
-// scalePoint is one pool size of the -cores scaling sweep.
-type scalePoint struct {
-	Pool int `json:"pool"`
-	// MS is the Fig. 3 regeneration wall-clock at this pool size;
-	// Speedup is the sequential engine's wall-clock divided by it.
-	MS      float64 `json:"ms"`
-	Speedup float64 `json:"speedup"`
 }
 
 // timeIt measures fn in us/op, iterating until ~200ms of samples.
@@ -182,11 +161,9 @@ func allocsPerRun(fn func()) float64 {
 
 // fig3MS regenerates Fig. 3 (timed) and Fig. 4 (on the same warm suite,
 // untimed) and returns the Fig. 3 wall-clock plus both renders
-// concatenated — the determinism witness compared across engines.
-func fig3MS(seed int64, engine dse.Engine, pool int, jit bool) (float64, string, error) {
+// concatenated — the determinism witness compared across JVM engines.
+func fig3MS(seed int64, jit bool) (float64, string, error) {
 	s := exp.NewSuite(seed)
-	s.Engine = engine
-	s.Parallelism = pool
 	s.JIT = jit
 	start := time.Now()
 	r, err := exp.Fig3(s, nil)
@@ -202,7 +179,7 @@ func fig3MS(seed int64, engine dse.Engine, pool int, jit bool) (float64, string,
 }
 
 // jvmBaselineMS times the suite's per-app JVM-baseline calibration (the
-// sample batch each AppResult executes) across all 8 workloads.
+// sample batch each AppResult executes) across all workloads.
 func jvmBaselineMS(jit bool) (float64, error) {
 	start := time.Now()
 	for _, a := range apps.All() {
@@ -244,12 +221,11 @@ func jitSpeedupSW() (float64, error) {
 	return interp / jit, nil
 }
 
-func measure(seed int64, sweepCores bool) (*benchReport, error) {
+func measure(seed int64) (*benchReport, error) {
 	rep := &benchReport{
 		GoVersion:        runtime.Version(),
 		Cores:            runtime.NumCPU(),
 		MaxProcs:         runtime.GOMAXPROCS(0),
-		ParallelPool:     benchParallelism,
 		StageMicros:      map[string]float64{},
 		StagePercentiles: map[string]stagePct{},
 	}
@@ -259,41 +235,19 @@ func measure(seed int64, sweepCores bool) (*benchReport, error) {
 		rep.StagePercentiles[name] = pct
 	}
 
-	seqMS, seqOut, err := fig3MS(seed, dse.EngineSequential, 0, true)
+	seqMS, seqOut, err := fig3MS(seed, true)
 	if err != nil {
 		return nil, err
 	}
-	noJITMS, noJITOut, err := fig3MS(seed, dse.EngineSequential, 0, false)
+	noJITMS, noJITOut, err := fig3MS(seed, false)
 	if err != nil {
 		return nil, err
-	}
-	parMS, parOut, err := fig3MS(seed, dse.EngineParallel, benchParallelism, true)
-	if err != nil {
-		return nil, err
-	}
-	if seqOut != parOut {
-		return nil, fmt.Errorf("parallel Fig. 3/4 output diverged from sequential — determinism bug, timings are meaningless")
 	}
 	if seqOut != noJITOut {
 		return nil, fmt.Errorf("Fig. 3/4 output diverged between JVM engines — the JIT broke cost accounting, timings are meaningless")
 	}
 	rep.Fig3SequentialMS = seqMS
 	rep.Fig3SeqNoJITMS = noJITMS
-	rep.Fig3ParallelMS = parMS
-	rep.Speedup = seqMS / parMS
-
-	if sweepCores {
-		for pool := 1; pool <= rep.MaxProcs; pool++ {
-			ms, out, err := fig3MS(seed, dse.EngineParallel, pool, true)
-			if err != nil {
-				return nil, err
-			}
-			if out != seqOut {
-				return nil, fmt.Errorf("pool-%d Fig. 3/4 output diverged from sequential — determinism bug, the scaling curve is meaningless", pool)
-			}
-			rep.Scaling = append(rep.Scaling, scalePoint{Pool: pool, MS: ms, Speedup: seqMS / ms})
-		}
-	}
 
 	interpMS, err := jvmBaselineMS(false)
 	if err != nil {
@@ -397,8 +351,8 @@ func measure(seed int64, sweepCores bool) (*benchReport, error) {
 	return rep, nil
 }
 
-func writeBench(path string, seed int64, sweepCores bool) error {
-	rep, err := measure(seed, sweepCores)
+func writeBench(path string, seed int64) error {
+	rep, err := measure(seed)
 	if err != nil {
 		return err
 	}
@@ -409,19 +363,11 @@ func writeBench(path string, seed int64, sweepCores bool) error {
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s: fig3 %.0fms sequential (%.0fms interpreted), %.0fms par%d (%.2fx) on %d cores\n",
-		path, rep.Fig3SequentialMS, rep.Fig3SeqNoJITMS, rep.Fig3ParallelMS, rep.ParallelPool, rep.Speedup, rep.Cores)
+	fmt.Printf("wrote %s: fig3 %.0fms (%.0fms interpreted) on %d cores\n",
+		path, rep.Fig3SequentialMS, rep.Fig3SeqNoJITMS, rep.Cores)
 	fmt.Printf("JVM baseline: %.0fms interpreted (%.0f%% of fig3) -> %.0fms jit (%.0f%%), S-W speedup %.2fx\n",
 		rep.JVMBaselineInterpMS, rep.JVMShareBeforePct, rep.JVMBaselineJITMS, rep.JVMShareAfterPct, rep.JITSpeedupSW)
-	printScaling(rep.Scaling)
 	return nil
-}
-
-// printScaling renders the -cores sweep one pool per line.
-func printScaling(curve []scalePoint) {
-	for _, p := range curve {
-		fmt.Printf("scaling: pool %2d  %8.0fms  %.2fx\n", p.Pool, p.MS, p.Speedup)
-	}
 }
 
 // runCompileBench is the `-compile N` mode: N timed passes over the
@@ -487,7 +433,7 @@ func runCompileBench(n int) error {
 	return nil
 }
 
-func checkBench(path string, seed int64, sweepCores bool) error {
+func checkBench(path string, seed int64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -496,33 +442,25 @@ func checkBench(path string, seed int64, sweepCores bool) error {
 	if err := json.Unmarshal(data, &committed); err != nil {
 		return fmt.Errorf("parsing %s: %w", path, err)
 	}
-	cur, err := measure(seed, sweepCores)
+	cur, err := measure(seed)
 	if err != nil {
 		return err
 	}
-	printScaling(cur.Scaling)
-	fmt.Printf("baseline  (%d cores, %s): fig3 %.0fms seq, %.0fms par%d, %.2fx; jit S-W %.2fx\n",
-		committed.Cores, committed.GoVersion, committed.Fig3SequentialMS,
-		committed.Fig3ParallelMS, committed.ParallelPool, committed.Speedup, committed.JITSpeedupSW)
-	fmt.Printf("this run  (%d cores, %s): fig3 %.0fms seq, %.0fms par%d, %.2fx; jit S-W %.2fx\n",
-		cur.Cores, cur.GoVersion, cur.Fig3SequentialMS,
-		cur.Fig3ParallelMS, cur.ParallelPool, cur.Speedup, cur.JITSpeedupSW)
+	fmt.Printf("baseline  (%d cores, %s): fig3 %.0fms; jit S-W %.2fx\n",
+		committed.Cores, committed.GoVersion, committed.Fig3SequentialMS, committed.JITSpeedupSW)
+	fmt.Printf("this run  (%d cores, %s): fig3 %.0fms; jit S-W %.2fx\n",
+		cur.Cores, cur.GoVersion, cur.Fig3SequentialMS, cur.JITSpeedupSW)
 
 	var failures []string
 	if cur.Cores >= 4 {
-		if cur.Speedup < minSpeedup {
-			failures = append(failures, fmt.Sprintf(
-				"parallel engine speedup %.2fx < required %.1fx on %d cores",
-				cur.Speedup, minSpeedup, cur.Cores))
-		}
 		if cur.JITSpeedupSW < minJITSpeedup {
 			failures = append(failures, fmt.Sprintf(
 				"JVM JIT speedup %.2fx < required %.1fx on S-W (%d cores)",
 				cur.JITSpeedupSW, minJITSpeedup, cur.Cores))
 		}
 	} else {
-		fmt.Printf("skipping the %.1fx parallel and %.1fx JIT speedup gates: only %d CPU(s) available\n",
-			minSpeedup, minJITSpeedup, cur.Cores)
+		fmt.Printf("skipping the %.1fx JIT speedup gate: only %d CPU(s) available\n",
+			minJITSpeedup, cur.Cores)
 	}
 	// Same-machine ratios and allocation counts are hardware-independent:
 	// these gates apply unconditionally.
@@ -552,7 +490,6 @@ func checkBench(path string, seed int64, sweepCores bool) error {
 			}
 		}
 		gate("fig3_sequential_ms", committed.Fig3SequentialMS, cur.Fig3SequentialMS)
-		gate("fig3_par8_ms", committed.Fig3ParallelMS, cur.Fig3ParallelMS)
 		gate("jvm_baseline_jit_ms", committed.JVMBaselineJITMS, cur.JVMBaselineJITMS)
 		names := make([]string, 0, len(committed.StageMicros))
 		for name := range committed.StageMicros {

@@ -9,7 +9,6 @@
 //	s2fa-bench                  # everything
 //	s2fa-bench -exp fig4        # one experiment
 //	s2fa-bench -seed 3          # different (still deterministic) run
-//	s2fa-bench -par 8           # concurrent DSE engine (same output, faster)
 //	s2fa-bench -bench BENCH_pr4.json        # record the performance baseline
 //	s2fa-bench -bench-check BENCH_pr4.json  # re-measure, fail on regression
 package main
@@ -21,7 +20,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 
-	"s2fa/internal/dse"
 	"s2fa/internal/exp"
 	"s2fa/internal/obs"
 )
@@ -30,14 +28,12 @@ func main() {
 	var (
 		which      = flag.String("exp", "all", "experiment: fig3 | fig4 | table1 | table2 | ablation | components | all")
 		seed       = flag.Int64("seed", 1, "random seed (reproducible)")
-		par        = flag.Int("par", 0, "run DSE evaluations on N goroutines (0 = sequential reference engine; results are byte-identical either way)")
 		jit        = flag.Bool("jit", true, "execute the JVM baselines through the closure-compiled engine (-jit=false interprets; results are byte-identical either way)")
-		benchOut   = flag.String("bench", "", "measure the performance baseline (Fig. 3 on both engines + stage micros) and write it to this JSON file")
+		benchOut   = flag.String("bench", "", "measure the performance baseline (Fig. 3 with both JVM-baseline engines + stage micros) and write it to this JSON file")
 		benchCheck = flag.String("bench-check", "", "re-measure the baseline and fail on regression against this committed JSON file")
-		cores      = flag.Bool("cores", false, "with -bench/-bench-check: sweep the parallel DSE pool from 1 to GOMAXPROCS and record the per-core scaling curve in the JSON report")
 		compileN   = flag.Int("compile", 0, "measure compile throughput: N passes over the whole kernel suite through frontend + b2c, cold vs served from the compile cache (kernels/sec)")
 
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file (DSE pool goroutines carry s2fa_pool_worker/s2fa_kernel/s2fa_partition pprof labels)")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		runtimeMet = flag.String("runtime-metrics", "", "sample Go runtime metrics (GC pause, heap, allocs) while the benchmarks run and write the gauge snapshot JSON to this file at exit")
 	)
@@ -99,9 +95,9 @@ func main() {
 	if *benchOut != "" || *benchCheck != "" {
 		var err error
 		if *benchOut != "" {
-			err = writeBench(*benchOut, *seed, *cores)
+			err = writeBench(*benchOut, *seed)
 		} else {
-			err = checkBench(*benchCheck, *seed, *cores)
+			err = checkBench(*benchCheck, *seed)
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "s2fa-bench:", err)
@@ -112,10 +108,6 @@ func main() {
 
 	s := exp.NewSuite(*seed)
 	s.JIT = *jit
-	if *par > 0 {
-		s.Engine = dse.EngineParallel
-		s.Parallelism = *par
-	}
 	run := func(name string, f func() (string, error)) {
 		if *which != "all" && *which != name {
 			return

@@ -43,7 +43,6 @@ func main() {
 		srcPath     = flag.String("src", "", "path to a kernel class source file")
 		appName     = flag.String("app", "", "built-in workload name (PR, KMeans, KNN, LR, SVM, LLS, AES, S-W)")
 		dseMode     = flag.String("dse", "s2fa", "exploration mode: s2fa | vanilla | trivial")
-		par         = flag.Int("par", 0, "run DSE evaluations on N goroutines (0 = sequential reference engine; results are byte-identical either way)")
 		tasks       = flag.Int("tasks", 4096, "batch size the design is optimized for")
 		seed        = flag.Int64("seed", 1, "random seed (reproducible runs)")
 		jit         = flag.Bool("jit", true, "execute the JVM baseline through the closure-compiled engine (-jit=false interprets; results are byte-identical either way)")
@@ -59,7 +58,7 @@ func main() {
 		metricsPath  = flag.String("metrics", "", "write a metrics-registry snapshot (per-stage latency histograms with p50/p90/p99, counters, gauges) to this file")
 		metricsForm  = flag.String("metrics-format", "json", "metrics snapshot format: json (for s2fa-report) | prom (Prometheus text exposition)")
 		recorderPath = flag.String("recorder", "", "attach the flight recorder and write its anomaly dumps (slow HLS estimations, budget-exhausted stops, blaze fallbacks) to this file")
-		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile to this file (DSE pool goroutines carry s2fa_pool_worker/s2fa_kernel/s2fa_partition pprof labels)")
+		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile   = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		runtimeMet   = flag.Bool("runtime-metrics", false, "sample Go runtime metrics (GC pause, heap, allocs) into the metrics registry while the run executes")
 	)
@@ -220,10 +219,6 @@ func main() {
 		cfg = dse.TrivialStopConfig(*seed)
 	default:
 		fatal(fmt.Errorf("unknown -dse mode %q", *dseMode))
-	}
-	if *par > 0 {
-		cfg.Engine = dse.EngineParallel
-		cfg.Parallelism = *par
 	}
 	fw.DSE = &cfg
 

@@ -4,8 +4,8 @@ package apps
 // the complete toolchain — parse/compile, bytecode verification,
 // abstract interpretation, b2c lowering, lint, JVM interpretation and
 // JIT, the cir evaluator behind the blaze layout, merlin
-// materialization, the lint/DSE legality shadow, a short cross-engine
-// DSE run, and the blaze runtime — with cross-layer invariants checked
+// materialization, the lint/DSE legality shadow, a short traced-vs-
+// untraced DSE run, and the blaze runtime — with cross-layer invariants checked
 // at every seam. The generator promises validity by construction, so
 // any rejection or differential mismatch is a toolchain bug, and the
 // failing kernel is automatically shrunk to a minimal reproducer
@@ -45,6 +45,7 @@ import (
 	"s2fa/internal/kdslgen"
 	"s2fa/internal/lint"
 	"s2fa/internal/merlin"
+	"s2fa/internal/obs"
 	"s2fa/internal/space"
 	"s2fa/internal/spark"
 )
@@ -419,22 +420,23 @@ func runSoakPipeline(k *kdslgen.Kernel, seed int64) (string, string) {
 		}
 	}
 
-	// Short cross-engine DSE: the parallel engine's outcome must be
-	// byte-identical to the sequential reference.
+	// Short traced DSE: tracing (spans, counters, metrics registry) is
+	// read-only, so the traced outcome must be byte-identical to the
+	// untraced one.
 	cfg := dse.S2FAConfig(seed)
 	cfg.Device = dev
 	cfg.MaxEvaluations = 24
-	spSeq := space.Identify(kern)
-	ref := outcomeFingerprint(dse.Run(kern, spSeq,
-		dse.NewEvaluator(kern, spSeq, dev, 256, hls.Options{}), cfg))
-	spPar := space.Identify(kern)
-	pcfg := cfg
-	pcfg.Engine = dse.EngineParallel
-	pcfg.Parallelism = 4
-	par := outcomeFingerprint(dse.Run(kern, spPar,
-		dse.NewPureEvaluator(kern, spPar, dev, 256, hls.Options{}), pcfg))
-	if ref != par {
-		return "dse-determinism", fmt.Sprintf("--- sequential\n%s--- parallel\n%s", ref, par)
+	spPlain := space.Identify(kern)
+	plain := outcomeFingerprint(dse.Run(kern, spPlain,
+		dse.NewEvaluator(kern, spPlain, dev, 256, hls.Options{}), cfg))
+	tr := obs.New(obs.Discard(), obs.WithRegistry(obs.NewRegistry()))
+	spTraced := space.Identify(kern)
+	tcfg := cfg
+	tcfg.Trace = tr
+	traced := outcomeFingerprint(dse.Run(kern, spTraced,
+		dse.NewTracedEvaluator(kern, spTraced, dev, 256, hls.Options{}, tr), tcfg))
+	if plain != traced {
+		return "dse-determinism", fmt.Sprintf("--- untraced\n%s--- traced\n%s", plain, traced)
 	}
 
 	// End to end through the blaze runtime: a pure generated kernel must

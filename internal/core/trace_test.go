@@ -10,30 +10,22 @@ import (
 
 	"s2fa/internal/apps"
 	"s2fa/internal/blaze"
-	"s2fa/internal/dse"
 	"s2fa/internal/fpga"
 	"s2fa/internal/jvmsim"
 	"s2fa/internal/obs"
 	"s2fa/internal/spark"
 )
 
-// buildSW runs the full S-W pipeline at seed 42, optionally traced and
-// optionally on the parallel DSE engine, then deploys the accelerator
-// and executes a small MapAcc batch so the blaze runtime stage appears
-// in the trace too.
-func buildSW(t *testing.T, tr *obs.Trace, parallel bool) *Build {
+// buildSW runs the full S-W pipeline at seed 42, optionally traced,
+// then deploys the accelerator and executes a small MapAcc batch so the
+// blaze runtime stage appears in the trace too.
+func buildSW(t *testing.T, tr *obs.Trace) *Build {
 	t.Helper()
 	a := apps.Get("S-W")
 	fw := New()
 	fw.Seed = 42
 	fw.Tasks = a.Tasks
 	fw.Trace = tr
-	if parallel {
-		cfg := dse.S2FAConfig(fw.Seed)
-		cfg.Engine = dse.EngineParallel
-		cfg.Parallelism = 4
-		fw.DSE = &cfg
-	}
 
 	b, err := fw.BuildFromSource(a.Source)
 	if err != nil {
@@ -65,11 +57,11 @@ func buildSW(t *testing.T, tr *obs.Trace, parallel bool) *Build {
 func TestTracingDeterminism(t *testing.T) {
 	var jsonl bytes.Buffer
 	tr := obs.New(obs.NewJSONL(&jsonl))
-	traced := buildSW(t, tr, false)
+	traced := buildSW(t, tr)
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	plain := buildSW(t, nil, false)
+	plain := buildSW(t, nil)
 
 	// Byte-identical trajectories: same (virtual minute, objective) pairs
 	// in the same order.
@@ -128,20 +120,19 @@ func TestTracingDeterminism(t *testing.T) {
 		t.Errorf("chrome export dropped events: %d < %d", len(doc.TraceEvents), len(events))
 	}
 
-	// Maximum observability must still be free: metrics registry, flight
-	// recorder, AND the parallel engine (whose pool goroutines run under
-	// pprof labels) attached at once, yet the seed-42 trajectory stays
-	// byte-identical to the bare sequential run.
+	// Maximum observability must still be free: metrics registry and
+	// flight recorder attached at once, yet the seed-42 trajectory stays
+	// byte-identical to the bare run.
 	reg := obs.NewRegistry()
 	rec := obs.NewRecorder(obs.RecorderConfig{})
 	var heavy bytes.Buffer
 	tr2 := obs.New(obs.Multi(obs.NewJSONL(&heavy), rec), obs.WithRegistry(reg))
-	full := buildSW(t, tr2, true)
+	full := buildSW(t, tr2)
 	if err := tr2.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if fj := fmt.Sprintf("%v", full.Outcome.Trajectory); fj != pj {
-		t.Errorf("registry+recorder+parallel run perturbed the trajectory:\nfull     %s\nuntraced %s", fj, pj)
+		t.Errorf("registry+recorder run perturbed the trajectory:\nfull     %s\nuntraced %s", fj, pj)
 	}
 	if got, want := full.Outcome.Best.Point.Key(), plain.Outcome.Best.Point.Key(); got != want {
 		t.Errorf("full-observability best design differs: %s vs %s", got, want)

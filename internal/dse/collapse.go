@@ -28,8 +28,8 @@ func rangeCollapseEvaluator(k *cir.Kernel, sp *space.Space, dev *fpga.Device, in
 	eq := newWidthEquiv(k, sp, dev)
 	// The mutex covers cache/seen/counter so the wrapper stays safe if
 	// callers ever share it across goroutines (the width-equivalence
-	// table itself is read-only after construction). The engines only
-	// call it from the scheduling goroutine, so it is uncontended there.
+	// table itself is read-only after construction). Run only calls it
+	// from the scheduling goroutine, so it is uncontended there.
 	var mu sync.Mutex
 	cache := map[string]tuner.Result{}
 	seen := map[string]bool{}

@@ -102,34 +102,10 @@ func (o *Outcome) BestAt(t float64) float64 {
 	return best
 }
 
-// Engine selects how the simulated workers execute.
-type Engine int
-
-const (
-	// EngineSequential steps the workers round-robin on the calling
-	// goroutine — the reference oracle every other engine is measured
-	// against.
-	EngineSequential Engine = iota
-	// EngineParallel runs evaluations on a pool of real goroutines while
-	// a merge loop replays the virtual-clock schedule, producing an
-	// Outcome byte-identical to EngineSequential at any GOMAXPROCS. It
-	// requires the evaluator handed to Run to be pure and
-	// concurrency-safe (NewPureEvaluator); memoization, tracing, and
-	// cache accounting are layered on by the engine itself.
-	EngineParallel
-)
-
 // Config selects the DSE operating mode.
 type Config struct {
 	// Workers is the number of simulated CPU cores (8 in the paper).
 	Workers int
-	// Engine selects sequential reference execution or the concurrent
-	// engine (see Engine constants). The zero value is sequential.
-	Engine Engine
-	// Parallelism is the evaluation-pool size for EngineParallel; values
-	// < 1 default to GOMAXPROCS. It never affects results, only
-	// wall-clock time.
-	Parallelism int
 	// TimeLimitMinutes bounds each worker's virtual clock (vanilla
 	// OpenTuner's only systematic criterion: four hours).
 	TimeLimitMinutes float64
@@ -261,11 +237,7 @@ func Run(k *cir.Kernel, sp *space.Space, eval tuner.Evaluator, cfg Config) *Outc
 	if cfg.MaxEvaluations <= 0 {
 		cfg.MaxEvaluations = 200_000
 	}
-	if cfg.Engine == EngineParallel {
-		return runParallel(k, sp, eval, cfg)
-	}
-
-	out := newOutcome(k)
+	out := &Outcome{KernelName: k.Name, FirstFeasible: math.NaN(), FirstFeasibleMinutes: math.NaN()}
 	eval = wrapEvaluator(k, sp, eval, cfg, out)
 	var parts []Partition
 	if cfg.Partition != nil {
@@ -277,16 +249,6 @@ func Run(k *cir.Kernel, sp *space.Space, eval tuner.Evaluator, cfg Config) *Outc
 
 	sched := newScheduler(cfg, parts, eval, out)
 	sched.run()
-	return finishOutcome(out, sched)
-}
-
-func newOutcome(k *cir.Kernel) *Outcome {
-	return &Outcome{KernelName: k.Name, FirstFeasible: math.NaN(), FirstFeasibleMinutes: math.NaN()}
-}
-
-// finishOutcome stamps the scheduler's termination summary onto the
-// outcome, shared by both engines.
-func finishOutcome(out *Outcome, sched *scheduler) *Outcome {
 	out.TotalMinutes = sched.totalMinutes()
 	out.StopReason = sched.stopReason()
 	if !out.Best.Feasible {
@@ -295,11 +257,9 @@ func finishOutcome(out *Outcome, sched *scheduler) *Outcome {
 	return out
 }
 
-// wrapEvaluator layers the optional static-prune and range-collapse
-// guards over the base evaluator, mutating sp's bookkeeping counters on
-// out exactly as the sequential engine always has. Both engines share
-// this assembly so the evaluator chain — and therefore every cache-hit
-// and prune decision — is identical between them.
+// wrapEvaluator layers the optional static-prune, dependence, access,
+// and range-collapse guards over the base evaluator, recording their
+// bookkeeping counters on out.
 func wrapEvaluator(k *cir.Kernel, sp *space.Space, eval tuner.Evaluator, cfg Config, out *Outcome) tuner.Evaluator {
 	if cfg.RestrictRanges {
 		// Collapse width-equivalent points onto shared HLS reports and
@@ -363,13 +323,6 @@ type worker struct {
 	// this partition's evaluations for the span's closing args.
 	span   *obs.Span
 	pevals int
-	// hasPending, pendingSeed, and pendingProps hold the parallel
-	// engine's pre-proposed next iteration (dispatched to the evaluation
-	// pool ahead of the merge loop; see parallel.go). The sequential
-	// engine never sets them.
-	hasPending   bool
-	pendingSeed  *space.Point
-	pendingProps []tuner.Proposal
 }
 
 type scheduler struct {
@@ -385,32 +338,17 @@ type scheduler struct {
 	sawTimeout  bool
 	sawStop     bool
 	hitMaxEvals bool
-	// onAssign, when set, runs after a worker receives a new partition
-	// (including the initial assignment). The parallel engine hooks it to
-	// pre-propose the worker's next batch and dispatch the evaluations to
-	// the goroutine pool ahead of the merge loop.
-	onAssign func(w *worker)
 }
 
+// newScheduler performs the initial FCFS partition hand-out.
 func newScheduler(cfg Config, parts []Partition, eval tuner.Evaluator, out *Outcome) *scheduler {
-	return newSchedulerHooked(cfg, parts, eval, out, nil)
-}
-
-func newSchedulerHooked(cfg Config, parts []Partition, eval tuner.Evaluator, out *Outcome, onAssign func(*worker)) *scheduler {
-	s := &scheduler{cfg: cfg, parts: parts, eval: eval, out: out, bestObj: math.Inf(1), onAssign: onAssign}
-	s.start()
-	return s
-}
-
-// start performs the initial FCFS partition hand-out. Split from the
-// constructor so the parallel engine can install its onAssign hook
-// first.
-func (s *scheduler) start() {
-	for i := 0; i < s.cfg.Workers; i++ {
+	s := &scheduler{cfg: cfg, parts: parts, eval: eval, out: out, bestObj: math.Inf(1)}
+	for i := 0; i < cfg.Workers; i++ {
 		w := &worker{id: i, part: -1}
 		s.workers = append(s.workers, w)
 		s.assign(w)
 	}
+	return s
 }
 
 // assign hands the next queued partition to w (first-come-first-serve,
@@ -442,9 +380,6 @@ func (s *scheduler) assign(w *worker) {
 			obs.Int("part", idx),
 			obs.Str("rule", p.String()),
 			obs.Vmin(w.clock))
-	}
-	if s.onAssign != nil {
-		s.onAssign(w)
 	}
 }
 
@@ -532,9 +467,7 @@ func (s *scheduler) step(w *worker) {
 // results into the shared search state: evaluation counts, trace events,
 // first-feasible and incumbent tracking, stopper observation, and the
 // partition hand-off when the stopper fires or the clock hits the
-// budget. Both engines funnel every result batch through this method —
-// it is the single place scheduling accounting happens, which is what
-// makes the parallel engine's replay byte-identical by construction.
+// budget.
 func (s *scheduler) absorb(w *worker, results []tuner.Result, iterMinutes float64) {
 	w.clock += iterMinutes
 	if w.clock > s.cfg.TimeLimitMinutes {

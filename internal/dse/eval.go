@@ -19,23 +19,9 @@ func NewEvaluator(k *cir.Kernel, sp *space.Space, dev *fpga.Device, n int64, opt
 	return NewTracedEvaluator(k, sp, dev, n, opt, nil)
 }
 
-// NewPureEvaluator is the uncached design-point evaluator: every call
-// runs the full Merlin + estimator pipeline and charges fresh synthesis
-// minutes. It is a pure function of the point (given fixed
-// kernel/space/device/options) and touches no shared mutable state, so
-// the concurrent engine's worker pool calls it from many goroutines at
-// once; memoization is layered on top by the engines (NewTracedEvaluator
-// for the sequential path, the replay evaluator for the parallel one).
-func NewPureEvaluator(k *cir.Kernel, sp *space.Space, dev *fpga.Device, n int64, opt hls.Options) tuner.Evaluator {
-	return func(pt space.Point) tuner.Result {
-		r, _ := pureEval(k, sp, dev, n, opt, pt)
-		return r
-	}
-}
-
 // pureEval evaluates one point with no cache and no tracing. The bool
-// reports whether Merlin rejected the point before estimation, which the
-// traced wrappers surface in their span args. Rejected results carry a
+// reports whether Merlin rejected the point before estimation, which
+// NewTracedEvaluator surfaces in its span args. Rejected results carry a
 // nil Meta; estimated ones always carry their hls.Report.
 func pureEval(k *cir.Kernel, sp *space.Space, dev *fpga.Device, n int64, opt hls.Options, pt space.Point) (tuner.Result, bool) {
 	d := sp.Directives(pt)
@@ -71,27 +57,13 @@ func pureEval(k *cir.Kernel, sp *space.Space, dev *fpga.Device, n int64, opt hls
 // every invocation: cache hits close immediately with cache=hit, fresh
 // estimations carry the Merlin + estimator work and close with the
 // synthesis minutes and feasibility verdict. With tr == nil it behaves —
-// and costs — exactly like NewEvaluator. The memo table is the sharded
-// hls.Cache, so the evaluator is safe for concurrent callers; with a
-// single caller its hit/miss sequence is identical to the old plain-map
-// implementation.
+// and costs — exactly like NewEvaluator. The evaluator is for one
+// goroutine: its memo is a plain map.
 func NewTracedEvaluator(k *cir.Kernel, sp *space.Space, dev *fpga.Device, n int64, opt hls.Options, tr *obs.Trace) tuner.Evaluator {
-	cache := hls.NewCache[tuner.Result](hls.DefaultCacheShards)
+	cache := map[string]tuner.Result{}
 	return func(pt space.Point) tuner.Result {
 		key := pt.Key()
-		r, cached := cache.GetOrCompute(key, func() tuner.Result {
-			var span *obs.Span
-			if tr != nil {
-				span = tr.Begin("hls", "estimate",
-					obs.Str("point", key), obs.Str("cache", "fresh"))
-				tr.Count("hls.estimations", 1)
-			}
-			res, rejected := pureEval(k, sp, dev, n, opt, pt)
-			span.End(estimateEndKVs(res, rejected)...)
-			tr.Observe("hls_synth_minutes", res.Minutes)
-			return res
-		})
-		if cached {
+		if r, ok := cache[key]; ok {
 			r.Point = pt
 			r.Minutes = 0 // cached HLS report, no synthesis re-run
 			if tr != nil {
@@ -100,7 +72,18 @@ func NewTracedEvaluator(k *cir.Kernel, sp *space.Space, dev *fpga.Device, n int6
 				hit.End(obs.F64("synth_min", 0), obs.Bool("feasible", r.Feasible))
 				tr.Count("hls.cache_hits", 1)
 			}
+			return r
 		}
+		var span *obs.Span
+		if tr != nil {
+			span = tr.Begin("hls", "estimate",
+				obs.Str("point", key), obs.Str("cache", "fresh"))
+			tr.Count("hls.estimations", 1)
+		}
+		r, rejected := pureEval(k, sp, dev, n, opt, pt)
+		span.End(estimateEndKVs(r, rejected)...)
+		tr.Observe("hls_synth_minutes", r.Minutes)
+		cache[key] = r
 		return r
 	}
 }

@@ -3,24 +3,22 @@ package dse
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 
 	"s2fa/internal/apps"
 	"s2fa/internal/cir"
 	"s2fa/internal/fpga"
 	"s2fa/internal/hls"
-	"s2fa/internal/obs"
 	"s2fa/internal/space"
 	"s2fa/internal/tuner"
 )
 
-// memoize replicates the sequential engine's evaluator cache contract
-// (repeat evaluations cost zero synthesis minutes) around a pure
-// evaluator, so synthetic evaluators can be compared across engines:
-// the sequential engine is handed memoize(pure), the parallel engine
-// pure itself.
+// memoize replicates the DSE evaluator's cache contract (repeat
+// evaluations cost zero synthesis minutes) around a pure synthetic
+// evaluator.
 func memoize(pure tuner.Evaluator) tuner.Evaluator {
 	cache := map[string]tuner.Result{}
 	return func(pt space.Point) tuner.Result {
@@ -39,46 +37,69 @@ func memoize(pure tuner.Evaluator) tuner.Evaluator {
 // assertOutcomesIdentical fails unless the two outcomes match on every
 // field of the determinism contract: trajectory, best point, evaluation
 // count, stop reason, clocks, and the prune/collapse counters.
-func assertOutcomesIdentical(t *testing.T, seq, par *Outcome) {
+func assertOutcomesIdentical(t *testing.T, want, got *Outcome) {
 	t.Helper()
-	if !reflect.DeepEqual(seq.Trajectory, par.Trajectory) {
-		t.Fatalf("trajectories differ:\nseq: %+v\npar: %+v", seq.Trajectory, par.Trajectory)
+	if !reflect.DeepEqual(want.Trajectory, got.Trajectory) {
+		t.Fatalf("trajectories differ:\nwant: %+v\ngot:  %+v", want.Trajectory, got.Trajectory)
 	}
-	if seq.Evaluations != par.Evaluations {
-		t.Fatalf("evaluations: seq %d par %d", seq.Evaluations, par.Evaluations)
+	if want.Evaluations != got.Evaluations {
+		t.Fatalf("evaluations: want %d got %d", want.Evaluations, got.Evaluations)
 	}
-	if seq.StopReason != par.StopReason {
-		t.Fatalf("stop reason: seq %s par %s", seq.StopReason, par.StopReason)
+	if want.StopReason != got.StopReason {
+		t.Fatalf("stop reason: want %s got %s", want.StopReason, got.StopReason)
 	}
-	if seq.Best.Point.Key() != par.Best.Point.Key() || seq.Best.Objective != par.Best.Objective {
-		t.Fatalf("best differs: seq %v=%v par %v=%v",
-			seq.Best.Point, seq.Best.Objective, par.Best.Point, par.Best.Objective)
+	if want.Best.Point.Key() != got.Best.Point.Key() || want.Best.Objective != got.Best.Objective {
+		t.Fatalf("best differs: want %v=%v got %v=%v",
+			want.Best.Point, want.Best.Objective, got.Best.Point, got.Best.Objective)
 	}
-	if seq.TotalMinutes != par.TotalMinutes {
-		t.Fatalf("total minutes: seq %v par %v", seq.TotalMinutes, par.TotalMinutes)
+	if want.TotalMinutes != got.TotalMinutes {
+		t.Fatalf("total minutes: want %v got %v", want.TotalMinutes, got.TotalMinutes)
 	}
-	if math.Float64bits(seq.FirstFeasible) != math.Float64bits(par.FirstFeasible) ||
-		math.Float64bits(seq.FirstFeasibleMinutes) != math.Float64bits(par.FirstFeasibleMinutes) {
-		t.Fatalf("first feasible: seq (%v, %v) par (%v, %v)",
-			seq.FirstFeasible, seq.FirstFeasibleMinutes, par.FirstFeasible, par.FirstFeasibleMinutes)
+	if math.Float64bits(want.FirstFeasible) != math.Float64bits(got.FirstFeasible) ||
+		math.Float64bits(want.FirstFeasibleMinutes) != math.Float64bits(got.FirstFeasibleMinutes) {
+		t.Fatalf("first feasible: want (%v, %v) got (%v, %v)",
+			want.FirstFeasible, want.FirstFeasibleMinutes, got.FirstFeasible, got.FirstFeasibleMinutes)
 	}
-	if seq.StaticallyPruned != par.StaticallyPruned || seq.RangeCollapsed != par.RangeCollapsed {
-		t.Fatalf("counters: seq prune=%d collapse=%d par prune=%d collapse=%d",
-			seq.StaticallyPruned, seq.RangeCollapsed, par.StaticallyPruned, par.RangeCollapsed)
+	if want.StaticallyPruned != got.StaticallyPruned || want.RangeCollapsed != got.RangeCollapsed {
+		t.Fatalf("counters: want prune=%d collapse=%d got prune=%d collapse=%d",
+			want.StaticallyPruned, want.RangeCollapsed, got.StaticallyPruned, got.RangeCollapsed)
 	}
-	if seq.Summary() != par.Summary() {
-		t.Fatalf("summaries differ:\nseq: %s\npar: %s", seq.Summary(), par.Summary())
+	if want.Summary() != got.Summary() {
+		t.Fatalf("summaries differ:\nwant: %s\ngot:  %s", want.Summary(), got.Summary())
 	}
 }
 
-// TestParallelEngineMatchesSequential is the in-package determinism
-// check over real kernels: the full S2FA configuration at several pool
-// sizes must be byte-identical to the sequential reference. (The full
-// 8-app × seed matrix lives in internal/apps; this one keeps the
-// -race -count=N stress of internal/dse fast while still covering the
-// engine end to end.)
+// concurrentCopies is how many identical runs the parallel tests start
+// at once.
+const concurrentCopies = 2
+
+// runConcurrently starts concurrentCopies calls of run on their own
+// goroutines and returns every outcome. run must build its own space
+// and evaluator: those are per-run state.
+func runConcurrently(run func() *Outcome) []*Outcome {
+	outs := make([]*Outcome, concurrentCopies)
+	var wg sync.WaitGroup
+	for i := range outs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outs[i] = run()
+		}()
+	}
+	wg.Wait()
+	return outs
+}
+
+// TestParallelEngineMatchesSequential runs the engine in parallel —
+// identical DSEs on concurrent goroutines, the app-level concurrency
+// exp.Suite.Warm relies on — at several GOMAXPROCS settings (parN), and
+// requires each run to be byte-identical to a run made alone. Run keeps
+// all search state per call, so nothing may leak between concurrent
+// runs. (internal/apps pins the full app × seed matrix to a golden.)
 func TestParallelEngineMatchesSequential(t *testing.T) {
 	dev := fpga.VU9P()
+	prevProcs := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prevProcs)
 	for _, name := range []string{"KMeans", "S-W"} {
 		a := apps.Get(name)
 		k, err := a.Kernel()
@@ -86,21 +107,22 @@ func TestParallelEngineMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, seed := range []int64{1, 42} {
-			spSeq := space.Identify(k)
 			cfg := S2FAConfig(seed)
 			cfg.Device = dev
-			seq := Run(k, spSeq, NewEvaluator(k, spSeq, dev, int64(a.Tasks), hls.Options{}), cfg)
+			run := func() *Outcome {
+				sp := space.Identify(k)
+				return Run(k, sp, NewEvaluator(k, sp, dev, int64(a.Tasks), hls.Options{}), cfg)
+			}
+			alone := run()
 			for _, par := range []int{1, 4, 16} {
 				if testing.Short() && par != 4 {
 					continue
 				}
 				t.Run(fmt.Sprintf("%s/seed%d/par%d", name, seed, par), func(t *testing.T) {
-					sp := space.Identify(k)
-					pcfg := cfg
-					pcfg.Engine = EngineParallel
-					pcfg.Parallelism = par
-					out := Run(k, sp, NewPureEvaluator(k, sp, dev, int64(a.Tasks), hls.Options{}), pcfg)
-					assertOutcomesIdentical(t, seq, out)
+					runtime.GOMAXPROCS(par)
+					for _, out := range runConcurrently(run) {
+						assertOutcomesIdentical(t, alone, out)
+					}
 				})
 			}
 		}
@@ -108,8 +130,8 @@ func TestParallelEngineMatchesSequential(t *testing.T) {
 }
 
 // TestParallelEngineVanillaAndTrivial covers the two baseline
-// configurations (no partitioning / trivial stopper) through the
-// parallel engine.
+// configurations (no partitioning + flat infeasibility / trivial
+// stopper) with concurrent runs.
 func TestParallelEngineVanillaAndTrivial(t *testing.T) {
 	dev := fpga.VU9P()
 	a := apps.Get("KMeans")
@@ -127,22 +149,18 @@ func TestParallelEngineVanillaAndTrivial(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			spSeq := space.Identify(k)
-			seqEval := NewEvaluator(k, spSeq, dev, int64(a.Tasks), hls.Options{})
-			if tc.flat {
-				seqEval = FlatInfeasible(seqEval)
+			run := func() *Outcome {
+				sp := space.Identify(k)
+				eval := NewEvaluator(k, sp, dev, int64(a.Tasks), hls.Options{})
+				if tc.flat {
+					eval = FlatInfeasible(eval)
+				}
+				return Run(k, sp, eval, tc.cfg)
 			}
-			seq := Run(k, spSeq, seqEval, tc.cfg)
-
-			sp := space.Identify(k)
-			parEval := NewPureEvaluator(k, sp, dev, int64(a.Tasks), hls.Options{})
-			if tc.flat {
-				parEval = FlatInfeasible(parEval)
+			alone := run()
+			for _, out := range runConcurrently(run) {
+				assertOutcomesIdentical(t, alone, out)
 			}
-			pcfg := tc.cfg
-			pcfg.Engine = EngineParallel
-			pcfg.Parallelism = 4
-			assertOutcomesIdentical(t, seq, Run(k, sp, parEval, pcfg))
 		})
 	}
 }
@@ -150,7 +168,7 @@ func TestParallelEngineVanillaAndTrivial(t *testing.T) {
 // syntheticPure is a deterministic pure evaluator over any space: the
 // objective and synthesis cost are hashed from the point key, with a
 // configurable feasibility predicate. It stands in for the HLS model in
-// engine-behavior tests that need exact control of Minutes.
+// scheduler tests that need exact control of Minutes.
 func syntheticPure(minutes float64, feasible func(space.Point) bool) tuner.Evaluator {
 	return func(pt space.Point) tuner.Result {
 		var h uint64 = 14695981039346656037
@@ -176,10 +194,12 @@ func kernelFor(t *testing.T) *cir.Kernel {
 	return k
 }
 
-// TestParallelTimeoutBoundaries drives both engines with evaluations of
-// controlled virtual cost through the budget edge cases: an iteration
-// that lands exactly on the limit, one that overshoots and pins, and a
-// limit smaller than the first evaluation.
+// TestParallelTimeoutBoundaries drives two simulated workers in parallel
+// on the virtual clock, with evaluations of controlled virtual cost,
+// through the budget edge cases: an iteration that lands exactly on the
+// limit, one that overshoots and pins, and a limit smaller than the
+// first evaluation. With no stopper every worker must end pinned at
+// exactly the limit, and a second run must repeat the first.
 func TestParallelTimeoutBoundaries(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -203,24 +223,22 @@ func TestParallelTimeoutBoundaries(t *testing.T) {
 				Seed:             5,
 				MaxEvaluations:   10_000,
 			}
-			seq := Run(k, space.Identify(k), memoize(pure), cfg)
-			pcfg := cfg
-			pcfg.Engine = EngineParallel
-			pcfg.Parallelism = 3
-			par := Run(k, space.Identify(k), pure, pcfg)
-			assertOutcomesIdentical(t, seq, par)
-			if seq.TotalMinutes > tc.limit {
-				t.Fatalf("clock overran the limit: %v > %v", seq.TotalMinutes, tc.limit)
+			out := Run(k, space.Identify(k), memoize(pure), cfg)
+			assertOutcomesIdentical(t, out, Run(k, space.Identify(k), memoize(pure), cfg))
+			if out.TotalMinutes != tc.limit {
+				t.Fatalf("clock ended at %v, want pinned at the limit %v", out.TotalMinutes, tc.limit)
 			}
-			if seq.StopReason != StopBudgetExhausted {
-				t.Fatalf("stop reason %s, want budget-exhausted", seq.StopReason)
+			if out.StopReason != StopBudgetExhausted {
+				t.Fatalf("stop reason %s, want budget-exhausted", out.StopReason)
 			}
 		})
 	}
 }
 
-// TestParallelMaxEvaluations checks the evaluation-budget cutoff stays
-// identical when batches are pre-proposed.
+// TestParallelMaxEvaluations checks the evaluation-budget cutoff over
+// four parallel simulated workers with batched iterations: the budget
+// is checked before each iteration, so the run ends within one batch
+// past it.
 func TestParallelMaxEvaluations(t *testing.T) {
 	k := kernelFor(t)
 	pure := syntheticPure(1, nil)
@@ -232,105 +250,12 @@ func TestParallelMaxEvaluations(t *testing.T) {
 		Seed:             9,
 		MaxEvaluations:   37,
 	}
-	seq := Run(k, space.Identify(k), memoize(pure), cfg)
-	pcfg := cfg
-	pcfg.Engine = EngineParallel
-	pcfg.Parallelism = 4
-	par := Run(k, space.Identify(k), pure, pcfg)
-	assertOutcomesIdentical(t, seq, par)
-	if seq.StopReason != StopBudgetExhausted {
-		t.Fatalf("stop reason %s", seq.StopReason)
+	out := Run(k, space.Identify(k), memoize(pure), cfg)
+	assertOutcomesIdentical(t, out, Run(k, space.Identify(k), memoize(pure), cfg))
+	if out.Evaluations < cfg.MaxEvaluations || out.Evaluations >= cfg.MaxEvaluations+cfg.BatchPerIter {
+		t.Fatalf("evaluations = %d, want in [%d, %d)", out.Evaluations, cfg.MaxEvaluations, cfg.MaxEvaluations+cfg.BatchPerIter)
 	}
-}
-
-// TestParallelEmitsPoolCounters asserts the engine's observability
-// contract: a traced parallel run reports dispatch, cache, queue-wait,
-// and per-worker utilization counters.
-func TestParallelEmitsPoolCounters(t *testing.T) {
-	dev := fpga.VU9P()
-	a := apps.Get("KMeans")
-	k, err := a.Kernel()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := space.Identify(k)
-	tr := obs.New(discardSink{})
-	cfg := S2FAConfig(3)
-	cfg.Device = dev
-	cfg.Engine = EngineParallel
-	cfg.Parallelism = 2
-	cfg.Trace = tr
-	out := Run(k, sp, NewPureEvaluator(k, sp, dev, int64(a.Tasks), hls.Options{}), cfg)
-	if out.Evaluations == 0 {
-		t.Fatal("no evaluations")
-	}
-	got := tr.Counters()
-	for _, name := range []string{
-		"dse.par.dispatched",
-		"dse.par.cache.hits",
-		"dse.par.cache.misses",
-		"dse.par.speculative_waste",
-		"dse.par.queue_wait_us",
-		"dse.par.merge_stall_us",
-		"dse.par.worker0.busy_us",
-		"dse.par.worker1.busy_us",
-		"hls.estimations",
-	} {
-		if _, ok := got[name]; !ok {
-			t.Errorf("missing counter %s (have %v)", name, got)
-		}
-	}
-	if got["dse.par.dispatched"] == 0 {
-		t.Error("dispatched = 0, pool never saw a prefetch")
-	}
-	if got["dse.par.speculative_waste"] < 0 {
-		t.Errorf("speculative waste negative: %d", got["dse.par.speculative_waste"])
-	}
-}
-
-type discardSink struct{}
-
-func (discardSink) Emit(obs.Event) {}
-func (discardSink) Close() error   { return nil }
-
-// TestEvalPoolCloseAbandonsQueue floods the pool and closes it
-// immediately: close must return promptly (workers abandon the backlog)
-// and never deadlock.
-func TestEvalPoolCloseAbandonsQueue(t *testing.T) {
-	sp := space.Identify(kernelFor(t))
-	pure := syntheticPure(1, nil)
-	p := newEvalPool(2, "test", pure)
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 500; i++ {
-		p.prefetch(sp.RandomPoint(rng))
-	}
-	p.close(nil)
-	if p.dispatched.Load() != 500 {
-		t.Fatalf("dispatched = %d", p.dispatched.Load())
-	}
-}
-
-// TestReplayEvaluatorFreshness pins the replay Minutes contract: first
-// replay of a key charges the pure cost, repeats are free, regardless of
-// whether the pool computed the value first.
-func TestReplayEvaluatorFreshness(t *testing.T) {
-	sp := space.Identify(kernelFor(t))
-	pure := syntheticPure(42, nil)
-	p := newEvalPool(2, "test", pure)
-	defer p.close(nil)
-	replay := p.replayEvaluator(nil)
-	pt := sp.AreaSeed()
-
-	p.prefetch(pt) // speculative compute may or may not win the race
-	r1 := replay(pt)
-	if r1.Minutes != 42 {
-		t.Fatalf("first replay Minutes = %v, want fresh cost 42", r1.Minutes)
-	}
-	r2 := replay(pt)
-	if r2.Minutes != 0 {
-		t.Fatalf("repeat replay Minutes = %v, want 0", r2.Minutes)
-	}
-	if r1.Objective != r2.Objective {
-		t.Fatalf("objective changed between replays: %v vs %v", r1.Objective, r2.Objective)
+	if out.StopReason != StopBudgetExhausted {
+		t.Fatalf("stop reason %s", out.StopReason)
 	}
 }

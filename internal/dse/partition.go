@@ -124,16 +124,6 @@ func DefaultPartitionConfig() PartitionConfig {
 // ordered by promise (ascending mean latency of training samples in the
 // leaf), which is the order the FCFS scheduler serves them in.
 func BuildPartitions(s *space.Space, k *cir.Kernel, eval tuner.Evaluator, cfg PartitionConfig, seed int64) []Partition {
-	return buildPartitions(s, k, eval, cfg, seed, nil)
-}
-
-// buildPartitions is BuildPartitions with an optional prefetch hook: the
-// full training-point list is generated up front (point generation never
-// depends on evaluation results, so the random stream is unchanged) and
-// announced to prefetch before the in-order evaluations begin. The
-// parallel engine uses the hook to warm its evaluation pool so the ~100
-// training estimations overlap instead of running back to back.
-func buildPartitions(s *space.Space, k *cir.Kernel, eval tuner.Evaluator, cfg PartitionConfig, seed int64, prefetch func(space.Point)) []Partition {
 	rng := rand.New(rand.NewSource(seed))
 	rules := CandidateRules(s, k)
 	if len(rules) == 0 {
@@ -160,11 +150,6 @@ func buildPartitions(s *space.Space, k *cir.Kernel, eval tuner.Evaluator, cfg Pa
 			pt[pp.Name] = pp.Random(rng)
 		}
 		pts = append(pts, pt)
-	}
-	if prefetch != nil {
-		for _, pt := range pts {
-			prefetch(pt)
-		}
 	}
 	samples := make([]treeSample, 0, len(pts))
 	for _, pt := range pts {

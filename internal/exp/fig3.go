@@ -55,9 +55,9 @@ func Fig3(s *Suite, appNames []string) (*Fig3Result, error) {
 	if len(appNames) == 0 {
 		appNames = AppNames()
 	}
-	// With the parallel engine, compute all apps concurrently up front;
-	// the loop below then assembles the series from cache in app order,
-	// so the result bytes never depend on completion order.
+	// Compute all apps concurrently up front; the loop below then
+	// assembles the series from cache in app order, so the result bytes
+	// never depend on completion order.
 	if err := s.Warm(appNames, Modes{Vanilla: true}); err != nil {
 		return nil, err
 	}

@@ -23,19 +23,14 @@ import (
 type Suite struct {
 	Seed   int64
 	Device *fpga.Device
-	// Engine selects the DSE execution engine for every run the suite
-	// performs; Parallelism sizes the evaluation pool for
-	// dse.EngineParallel. Results are byte-identical across engines —
-	// these only trade wall-clock time.
-	Engine      dse.Engine
-	Parallelism int
 	// JIT selects the closure-compiled engine for the per-app JVM
-	// baselines (default on, see NewSuite). Like Engine, it only trades
-	// wall-clock: the JIT preserves Counts bit-for-bit, so JVMSeconds —
+	// baselines (default on, see NewSuite). It only trades wall-clock:
+	// the JIT preserves Counts bit-for-bit, so JVMSeconds —
 	// and every figure derived from it — is byte-identical either way.
 	JIT bool
 	// Trace, when non-nil, receives per-app baseline spans and JIT
-	// compile counters.
+	// compile counters. Warm computes apps on concurrent goroutines, so
+	// their spans may interleave on the trace's default track.
 	Trace *obs.Trace
 
 	// Locking is two-level so independent apps can be computed
@@ -131,7 +126,7 @@ func (s *Suite) Result(name string, modes Modes) (*AppResult, error) {
 	if r.S2FA == nil {
 		cfg := dse.S2FAConfig(s.Seed)
 		cfg.Device = s.Device
-		r.S2FA = dse.Run(r.Kernel, r.Space, s.evaluator(r), s.configure(cfg))
+		r.S2FA = dse.Run(r.Kernel, r.Space, s.evaluator(r), cfg)
 		if rep, ok := dse.Report(r.S2FA.Best); ok {
 			r.BestReport = rep
 		}
@@ -145,24 +140,19 @@ func (s *Suite) Result(name string, modes Modes) (*AppResult, error) {
 	if modes.Vanilla && r.Vanilla == nil {
 		// Stock OpenTuner sees no gradient in the infeasible region.
 		eval := dse.FlatInfeasible(s.evaluator(r))
-		r.Vanilla = dse.Run(r.Kernel, r.Space, eval, s.configure(dse.VanillaConfig(s.Seed)))
+		r.Vanilla = dse.Run(r.Kernel, r.Space, eval, dse.VanillaConfig(s.Seed))
 	}
 	if modes.Trivial && r.Trivial == nil {
-		r.Trivial = dse.Run(r.Kernel, r.Space, s.evaluator(r), s.configure(dse.TrivialStopConfig(s.Seed)))
+		r.Trivial = dse.Run(r.Kernel, r.Space, s.evaluator(r), dse.TrivialStopConfig(s.Seed))
 	}
 	return r, nil
 }
 
-// Warm precomputes the named apps' artifacts concurrently — one
-// goroutine per app — when the suite runs the parallel engine; with the
-// sequential engine it is a no-op, keeping the reference path
-// single-threaded. Every app's computation is fully independent (own
+// Warm precomputes the named apps' artifacts concurrently, one
+// goroutine per app. Every app's computation is fully independent (own
 // kernel, space, caches, RNG streams), so the results are byte-identical
 // to computing them one by one; later Result calls are cache hits.
 func (s *Suite) Warm(appNames []string, modes Modes) error {
-	if s.Engine != dse.EngineParallel {
-		return nil
-	}
 	if len(appNames) == 0 {
 		appNames = AppNames()
 	}
@@ -184,20 +174,9 @@ func (s *Suite) Warm(appNames []string, modes Modes) error {
 	return nil
 }
 
-// configure stamps the suite's engine selection onto a DSE config.
-func (s *Suite) configure(cfg dse.Config) dse.Config {
-	cfg.Engine = s.Engine
-	cfg.Parallelism = s.Parallelism
-	return cfg
-}
-
-// evaluator builds the engine-appropriate evaluator for one app: the
-// memoizing evaluator for the sequential engine, the pure (uncached)
-// one for the parallel engine, which layers its own replay memoization.
+// evaluator builds a fresh memoizing evaluator for one DSE run of an
+// app.
 func (s *Suite) evaluator(r *AppResult) tuner.Evaluator {
-	if s.Engine == dse.EngineParallel {
-		return dse.NewPureEvaluator(r.Kernel, r.Space, s.Device, int64(r.App.Tasks), hls.Options{})
-	}
 	return dse.NewEvaluator(r.Kernel, r.Space, s.Device, int64(r.App.Tasks), hls.Options{})
 }
 

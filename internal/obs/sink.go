@@ -42,7 +42,7 @@ func (s *jsonlSink) Close() error {
 }
 
 // discardSink drops every event. Useful when only the side products of
-// an enabled trace are wanted (a metrics registry, pprof labels) without
+// an enabled trace are wanted (e.g. a metrics registry) without
 // retaining the event stream.
 type discardSink struct{}
 

@@ -3,7 +3,7 @@
 // time (stage waterfall with percentiles), which fresh HLS estimations
 // were slowest and why (bottleneck verdicts with their offending access
 // sites), how much of the design space each static analysis pruned,
-// how busy the parallel engine's workers were, and how blaze requests
+// how busy the DSE's virtual workers were, and how blaze requests
 // split between accelerator offload and JVM fallback.
 //
 // The renderer is a pure function of its inputs: with a deterministic
@@ -88,7 +88,6 @@ type analysis struct {
 	stages   map[string]*stageAgg
 	hls      []span // fresh estimations only
 	counters map[string]int64
-	gauges   map[string]float64
 	misnests int
 
 	trackBusyNS map[int]int64 // tid>0: summed top-level span time
@@ -99,7 +98,6 @@ func analyze(events []obs.Event) *analysis {
 	a := &analysis{
 		stages:      map[string]*stageAgg{},
 		counters:    map[string]int64{},
-		gauges:      map[string]float64{},
 		trackBusyNS: map[int]int64{},
 	}
 	begins := map[int64]obs.Event{}
@@ -179,7 +177,6 @@ func analyze(events []obs.Event) *analysis {
 			}
 		case obs.PhaseCounter:
 			// Count samples carry the running total; the last one wins.
-			// Gauges overwrite the same way.
 			v := e.Args["value"]
 			switch v.(type) {
 			case int64, int:
@@ -191,7 +188,6 @@ func analyze(events []obs.Event) *analysis {
 				if f == math.Trunc(f) {
 					a.counters[e.Name] = int64(f)
 				}
-				a.gauges[e.Name] = f
 			}
 		}
 		if e.Cat == "dse" && e.Name == "incumbent" && e.Ph == obs.PhaseInstant {
@@ -360,44 +356,22 @@ func renderCompileCache(b *strings.Builder, a *analysis, m *obs.MetricsSnapshot,
 }
 
 func (a *analysis) renderWorkers(b *strings.Builder, opt Options) {
-	// Prefer the parallel pool's own counters; fall back to per-track
-	// span time for sequential runs (virtual workers on tracks > 0).
-	var rows [][]string
-	if a.counters["dse.par.dispatched"] > 0 {
-		rows = append(rows, []string{"pool worker", "busy", "utilization"})
-		for i := 0; ; i++ {
-			busy, ok := a.counters[fmt.Sprintf("dse.par.worker%d.busy_us", i)]
-			if !ok {
-				break
-			}
-			util := a.gauges[fmt.Sprintf("dse.par.worker%d.utilization", i)]
-			rows = append(rows, []string{
-				fmt.Sprintf("%d", i), fmtDurUS(float64(busy)), fmt.Sprintf("%.0f%%", util*100),
-			})
-		}
-		if len(rows) == 1 {
-			rows = nil
-		}
-	}
-	if rows == nil && len(a.trackBusyNS) > 0 {
-		var tids []int
-		for tid := range a.trackBusyNS { //determinism:allow sorted below
-			tids = append(tids, tid)
-		}
-		sort.Ints(tids)
-		rows = append(rows, []string{"virtual worker (track)", "span time"})
-		for _, tid := range tids {
-			rows = append(rows, []string{fmt.Sprintf("%d", tid-1), fmtDurNS(a.trackBusyNS[tid])})
-		}
-	}
-	if rows == nil {
+	// Virtual workers run on trace tracks > 0; report each track's span
+	// time.
+	if len(a.trackBusyNS) == 0 {
 		return
+	}
+	var tids []int
+	for tid := range a.trackBusyNS { //determinism:allow sorted below
+		tids = append(tids, tid)
+	}
+	sort.Ints(tids)
+	rows := [][]string{{"virtual worker (track)", "span time"}}
+	for _, tid := range tids {
+		rows = append(rows, []string{fmt.Sprintf("%d", tid-1), fmtDurNS(a.trackBusyNS[tid])})
 	}
 	b.WriteString("\n## Worker utilization\n\n")
 	writeTable(b, rows, opt)
-	if w := a.counters["dse.par.speculative_waste"]; w > 0 {
-		fmt.Fprintf(b, "\nSpeculation computed %d estimations the replay never consumed.\n", w)
-	}
 }
 
 func (a *analysis) renderBlaze(b *strings.Builder, opt Options) {

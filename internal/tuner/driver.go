@@ -65,25 +65,19 @@ func (d *Driver) InjectSeed(pt space.Point) Result {
 	return r
 }
 
-// Proposal is one not-yet-evaluated design point selected by Propose,
-// remembering which technique it must be credited to on Commit (tech is
+// proposal is one not-yet-evaluated design point selected by propose,
+// remembering which technique it must be credited to on commit (tech is
 // -1 for the uniform random fallback).
-type Proposal struct {
-	Tech  int
-	Point space.Point
+type proposal struct {
+	tech  int
+	point space.Point
 }
 
-// Propose selects up to k distinct new design points without evaluating
+// propose selects up to k distinct new design points without evaluating
 // them: the bandit picks techniques, duplicate proposals are penalized,
-// and the uniform fallback fills the remainder. The caller evaluates
-// the points (possibly concurrently, on other goroutines) and feeds the
-// results back through Commit in proposal order. Propose/Commit is the
-// decomposition the concurrent DSE engine relies on: each scheduler
-// worker owns its Driver exclusively, so proposal (which draws from
-// this driver's Rng and mutates its bandit) stays isolated per worker
-// while only the pure evaluation work is shared across goroutines.
-func (d *Driver) Propose(k int) []Proposal {
-	var batch []Proposal
+// and the uniform fallback fills the remainder.
+func (d *Driver) propose(k int) []proposal {
+	var batch []proposal
 	inBatch := map[string]bool{}
 	for len(batch) < k {
 		found := false
@@ -112,7 +106,7 @@ func (d *Driver) Propose(k int) []Proposal {
 				continue
 			}
 			inBatch[key] = true
-			batch = append(batch, Proposal{Tech: ti, Point: pt})
+			batch = append(batch, proposal{tech: ti, point: pt})
 			found = true
 			break
 		}
@@ -123,43 +117,41 @@ func (d *Driver) Propose(k int) []Proposal {
 				break // space exhausted (tiny test spaces)
 			}
 			inBatch[pt.Key()] = true
-			batch = append(batch, Proposal{Tech: -1, Point: pt})
+			batch = append(batch, proposal{tech: -1, point: pt})
 		}
 	}
 	return batch
 }
 
-// Commit records the evaluation result of one proposal: technique
+// commit records the evaluation result of one proposal: technique
 // attribution, result database, feedback, and bandit credit. It returns
-// the annotated result (Technique filled in) and whether it set a new
-// driver-local best.
-func (d *Driver) Commit(p Proposal, r Result) (Result, bool) {
-	if p.Tech >= 0 {
-		r.Technique = d.Techniques[p.Tech].Name()
+// the result with Technique filled in.
+func (d *Driver) commit(p proposal, r Result) Result {
+	if p.tech >= 0 {
+		r.Technique = d.Techniques[p.tech].Name()
 	} else {
 		r.Technique = "random-fill"
 	}
 	newBest := d.DB.Add(r)
-	if p.Tech >= 0 {
-		d.Techniques[p.Tech].Feedback(d.ctx, r)
-		d.Bandit.Reward(p.Tech, newBest)
+	if p.tech >= 0 {
+		d.Techniques[p.tech].Feedback(d.ctx, r)
+		d.Bandit.Reward(p.tech, newBest)
 		if d.Trace != nil {
 			d.Trace.EventT(d.TID, "tuner", "reward",
 				obs.Str("arm", r.Technique),
 				obs.Bool("new_best", newBest))
 		}
 	}
-	return r, newBest
+	return r
 }
 
 // Step proposes and evaluates up to k distinct new design points,
 // returning their results in proposal order.
 func (d *Driver) Step(k int) []Result {
-	batch := d.Propose(k)
+	batch := d.propose(k)
 	out := make([]Result, 0, len(batch))
 	for _, p := range batch {
-		r, _ := d.Commit(p, d.Eval(p.Point))
-		out = append(out, r)
+		out = append(out, d.commit(p, d.Eval(p.point)))
 	}
 	return out
 }
