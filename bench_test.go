@@ -248,6 +248,29 @@ func BenchmarkHLSEstimate(b *testing.B) {
 	}
 }
 
+// BenchmarkHLSEstimateWithFacts measures one design-point evaluation of
+// the Smith-Waterman kernel priced from the kernel's precomputed facts,
+// the way the DSE evaluator prices every fresh point.
+func BenchmarkHLSEstimateWithFacts(b *testing.B) {
+	a := apps.Get("S-W")
+	k, err := a.Kernel()
+	if err != nil {
+		b.Fatal(err)
+	}
+	dev := fpga.VU9P()
+	sp := space.Identify(k)
+	ann, err := merlin.Annotate(k, sp.Directives(sp.PerformanceSeed()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	facts := hls.Analyze(k)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hls.EstimateWith(facts, ann, dev, int64(a.Tasks), hls.Options{})
+	}
+}
+
 // BenchmarkMerlinMaterialize measures structural transformation (tile +
 // unroll with tree reduction) of the LR kernel.
 func BenchmarkMerlinMaterialize(b *testing.B) {

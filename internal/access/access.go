@@ -228,7 +228,11 @@ func (a *Analysis) Param(name string) *ParamProfile {
 
 // Analyze runs the access-pattern analysis. The kernel is read, never
 // mutated; the result is deterministic for a given kernel.
-func Analyze(k *cir.Kernel) *Analysis {
+func Analyze(k *cir.Kernel) *Analysis { return AnalyzeWithInfo(k, cir.Analyze(k)) }
+
+// AnalyzeWithInfo is Analyze over an already computed loop-nest analysis
+// of k.
+func AnalyzeWithInfo(k *cir.Kernel, info *cir.KernelInfo) *Analysis {
 	w := newWalker(k)
 	w.block(k.Body)
 
@@ -238,7 +242,6 @@ func Analyze(k *cir.Kernel) *Analysis {
 		Loops:  map[string][]*LoopArray{},
 		caps:   map[string]int{},
 	}
-	info := cir.Analyze(k)
 	for _, li := range info.All {
 		a.LoopOrder = append(a.LoopOrder, li.Loop.ID)
 		a.Loops[li.Loop.ID] = a.loopSummaries(li.Loop.ID, w)

@@ -35,12 +35,11 @@ import (
 	"sync"
 
 	"s2fa/internal/absint"
-	"s2fa/internal/access"
 	"s2fa/internal/b2c"
 	"s2fa/internal/bytecode"
 	"s2fa/internal/cir"
 	"s2fa/internal/compile"
-	"s2fa/internal/depend"
+	"s2fa/internal/hls"
 	"s2fa/internal/kdsl"
 	"s2fa/internal/lint"
 	"s2fa/internal/obs"
@@ -59,10 +58,9 @@ type Entry struct {
 	Facts *absint.ClassFacts
 	// Lint holds the full lint verdicts for the pristine kernel.
 	Lint lint.Findings
-	// Depend and Access are the loop-dependence and access-pattern
-	// analyses the DSE collapse guards consume.
-	Depend *depend.Analysis
-	Access *access.Analysis
+	// Analyses are the kernel's loop-nest, dependence and access-pattern
+	// facts, which the DSE collapse guards and the HLS estimator consume.
+	Analyses *hls.Facts
 
 	// checksum is SHA-256 of cir.Print(Kernel) at insertion time; bytes
 	// is the length of that rendering (the size proxy behind the
@@ -260,8 +258,7 @@ func compileMiss(cls *bytecode.Class, facts *absint.ClassFacts, fp Fingerprint, 
 		Kernel:      k,
 		Facts:       facts,
 		Lint:        lint.Lint(k),
-		Depend:      depend.Analyze(k),
-		Access:      access.Analyze(k),
+		Analyses:    hls.Analyze(k),
 		checksum:    sha256.Sum256([]byte(printed)),
 		bytes:       len(printed),
 	}

@@ -56,18 +56,21 @@ func TestCachedMatchesFresh(t *testing.T) {
 		// Cached analysis conclusions must agree with a fresh analysis
 		// of the fresh kernel (loop IDs are positional, shared across
 		// compiles of the same source).
+		if hit.Analyses.Info != hit.Analyses.Dep.Info {
+			t.Errorf("%s: cached facts hold two loop-nest analyses", app.Name)
+		}
 		freshDep := depend.Analyze(fresh)
-		if !reflect.DeepEqual(hit.Depend.Order, freshDep.Order) {
+		if !reflect.DeepEqual(hit.Analyses.Dep.Order, freshDep.Order) {
 			t.Errorf("%s: cached depend loop order differs from fresh", app.Name)
 		}
-		for _, id := range hit.Depend.Order {
-			if got, want := hit.Depend.Serializing(id), freshDep.Serializing(id); got != want {
+		for _, id := range hit.Analyses.Dep.Order {
+			if got, want := hit.Analyses.Dep.Serializing(id), freshDep.Serializing(id); got != want {
 				t.Errorf("%s: loop %s: cached Serializing=%v want %v", app.Name, id, got, want)
 			}
 		}
 		freshAcc := access.Analyze(fresh)
 		for _, id := range freshAcc.LoopOrder {
-			if got, want := hit.Access.PortCap(id), freshAcc.PortCap(id); got != want {
+			if got, want := hit.Analyses.Acc.PortCap(id), freshAcc.PortCap(id); got != want {
 				t.Errorf("%s: loop %s: cached PortCap=%d want %d", app.Name, id, got, want)
 			}
 		}

@@ -71,6 +71,9 @@ type LoopInfo struct {
 	Children []*LoopInfo
 	Depth    int   // 0 for outermost (task) loop
 	Trip     int64 // constant trip count, 0 if unknown
+	// Index is the node's position in KernelInfo.All (preorder, the
+	// order of Kernel.Loops).
+	Index int
 
 	// BodyOps counts operations in the direct body, excluding nested
 	// loops (their costs live in their own nodes).
@@ -207,6 +210,7 @@ func analyzeBlock(b Block, cur *LoopInfo, info *KernelInfo, declared map[string]
 				Parent: cur,
 				Access: map[string]*ArrayAccess{},
 				Trip:   s.TripCount(),
+				Index:  len(info.All),
 			}
 			if cur != nil {
 				li.Depth = cur.Depth + 1

@@ -433,25 +433,24 @@ func (k *Kernel) Global(name string) *Global {
 }
 
 // Loops returns all loops in the kernel in preorder.
-func (k *Kernel) Loops() []*Loop {
-	var out []*Loop
-	var walk func(b Block)
-	walk = func(b Block) {
-		for _, s := range b {
-			switch s := s.(type) {
-			case *Loop:
-				out = append(out, s)
-				walk(s.Body)
-			case *If:
-				walk(s.Then)
-				walk(s.Else)
-			case *While:
-				walk(s.Body)
-			}
+func (k *Kernel) Loops() []*Loop { return AppendLoops(nil, k.Body) }
+
+// AppendLoops appends the loops of b to dst in preorder (the order of
+// Kernel.Loops and KernelInfo.All) and returns the extended slice.
+func AppendLoops(dst []*Loop, b Block) []*Loop {
+	for _, s := range b {
+		switch s := s.(type) {
+		case *Loop:
+			dst = append(dst, s)
+			dst = AppendLoops(dst, s.Body)
+		case *If:
+			dst = AppendLoops(dst, s.Then)
+			dst = AppendLoops(dst, s.Else)
+		case *While:
+			dst = AppendLoops(dst, s.Body)
 		}
 	}
-	walk(k.Body)
-	return out
+	return dst
 }
 
 // FindLoop returns the loop with the given ID, or nil.

@@ -147,24 +147,22 @@ func (f *Framework) BuildFromClass(cls *bytecode.Class, k *cir.Kernel) (*Build, 
 	if cfg.Trace == nil {
 		cfg.Trace = f.Trace
 	}
-	if f.Cache != nil {
-		// A kernel that came out of the cache carries precomputed
-		// dependence/access analyses; hand them to the collapse guards
-		// so a cache hit skips their re-analysis too.
+	if cfg.Facts == nil && f.Cache != nil {
+		// A kernel that came out of the cache carries its precomputed
+		// analyses; a cache hit skips their re-analysis.
 		if e := f.Cache.EntryFor(k); e != nil {
-			if cfg.Depend == nil {
-				cfg.Depend = e.Depend
-			}
-			if cfg.Access == nil {
-				cfg.Access = e.Access
-			}
+			cfg.Facts = e.Analyses
 		}
+	}
+	if cfg.Facts == nil {
+		cfg.Facts = hls.Analyze(k)
 	}
 	tasks := f.Tasks
 	if tasks <= 0 {
 		tasks = 4096
 	}
-	eval := dse.NewTracedEvaluator(k, b.Space, f.Device, int64(tasks), f.HLS, f.Trace)
+	// The collapse guards and the evaluator share one analysis.
+	eval := dse.NewFactsEvaluator(cfg.Facts, b.Space, f.Device, int64(tasks), f.HLS, f.Trace)
 	dspan := f.Trace.Begin("dse", "run", obs.Str("kernel", k.Name))
 	b.Outcome = dse.Run(k, b.Space, eval, cfg)
 	dspan.End(

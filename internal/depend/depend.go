@@ -189,9 +189,15 @@ func Analyze(k *cir.Kernel) *Analysis { return AnalyzeWith(k, Config{}) }
 
 // AnalyzeWith runs the dependence analysis with an explicit configuration.
 func AnalyzeWith(k *cir.Kernel, cfg Config) *Analysis {
+	return AnalyzeWithInfo(k, cir.Analyze(k), cfg)
+}
+
+// AnalyzeWithInfo is AnalyzeWith over an already computed loop-nest
+// analysis of k, which the result keeps as its Info.
+func AnalyzeWithInfo(k *cir.Kernel, info *cir.KernelInfo, cfg Config) *Analysis {
 	an := &Analysis{
 		Kernel:   k,
-		Info:     cir.Analyze(k),
+		Info:     info,
 		Verdicts: map[string]*Verdict{},
 		cfg:      cfg,
 		class:    map[string]string{},

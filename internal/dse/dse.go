@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"math"
 
-	"s2fa/internal/access"
 	"s2fa/internal/cir"
-	"s2fa/internal/depend"
 	"s2fa/internal/fpga"
+	"s2fa/internal/hls"
 	"s2fa/internal/obs"
 	"s2fa/internal/space"
 	"s2fa/internal/tuner"
@@ -160,15 +159,14 @@ type Config struct {
 	// Device supplies the DDR interface model for RestrictRanges; nil
 	// defaults to the paper's VU9P.
 	Device *fpga.Device
-	// Depend and Access optionally supply precomputed analyses of the
-	// explored kernel (e.g. from the compile cache) consumed by the
-	// DependPrune/AccessPrune guard assembly instead of re-running
-	// depend.Analyze/access.Analyze. Both analyses are deterministic
-	// pure functions of the kernel, so supplying them never changes the
-	// search trajectory — only setup cost. They must describe the same
-	// kernel Run receives; nil fields are computed on demand.
-	Depend *depend.Analysis
-	Access *access.Analysis
+	// Facts optionally supplies the precomputed analyses of the explored
+	// kernel (hls.Analyze, e.g. from the compile cache or shared with
+	// the evaluator) consumed by the DependPrune/AccessPrune guard
+	// assembly. The analyses are deterministic pure functions of the
+	// kernel, so supplying them never changes the search trajectory —
+	// only setup cost. They must describe the kernel Run receives; nil
+	// computes them on demand.
+	Facts *hls.Facts
 	// Trace, when set, receives the search telemetry: per-partition
 	// spans on per-worker tracks, per-evaluation events (disposition,
 	// objective, virtual clock), entropy-window values, bandit arm
@@ -274,27 +272,23 @@ func wrapEvaluator(k *cir.Kernel, sp *space.Space, eval tuner.Evaluator, cfg Con
 		_, out.RangeRestrictedValues = space.RestrictFromRanges(sp, dev)
 		eval = rangeCollapseEvaluator(k, sp, dev, eval, &out.RangeCollapsed, cfg.Trace)
 	}
+	facts := cfg.Facts
+	if facts == nil && (cfg.AccessPrune || cfg.DependPrune) {
+		facts = hls.Analyze(k)
+	}
 	if cfg.AccessPrune {
 		// Collapse parallel factors above a loop's BRAM port-cap onto the
 		// cap-clamped sibling's report. Layered inside DependPrune so the
 		// dependence collapse intercepts its (disjoint, parallel=1) class
 		// first, keeping both counters' meanings stable.
-		acc := cfg.Access
-		if acc == nil {
-			acc = access.Analyze(k)
-		}
-		eval = accessPruneEvaluator(acc, sp, eval, &out.AccessPruned, cfg.Trace)
+		eval = accessPruneEvaluator(facts.Acc, sp, eval, &out.AccessPruned, cfg.Trace)
 	}
 	if cfg.DependPrune {
 		// Collapse points whose parallel factors contradict a proven loop
 		// serialization onto their parallel=1 siblings before they reach
 		// Merlin + the estimator. Layered inside StaticPrune: a point must
 		// first be legal before its dependence profile is worth consulting.
-		dep := cfg.Depend
-		if dep == nil {
-			dep = depend.Analyze(k)
-		}
-		eval = dependPruneEvaluator(dep, sp, eval, &out.DependPruned, cfg.Trace)
+		eval = dependPruneEvaluator(facts.Dep, sp, eval, &out.DependPruned, cfg.Trace)
 	}
 	if cfg.StaticPrune {
 		// Guard the evaluator with the lint legality pass: statically

@@ -19,13 +19,14 @@ func NewEvaluator(k *cir.Kernel, sp *space.Space, dev *fpga.Device, n int64, opt
 	return NewTracedEvaluator(k, sp, dev, n, opt, nil)
 }
 
-// pureEval evaluates one point with no cache and no tracing. The bool
-// reports whether Merlin rejected the point before estimation, which
-// NewTracedEvaluator surfaces in its span args. Rejected results carry a
-// nil Meta; estimated ones always carry their hls.Report.
-func pureEval(k *cir.Kernel, sp *space.Space, dev *fpga.Device, n int64, opt hls.Options, pt space.Point) (tuner.Result, bool) {
+// pureEval evaluates one point of the kernel f describes with no cache
+// and no tracing. The bool reports whether Merlin rejected the point
+// before estimation, which NewTracedEvaluator surfaces in its span args.
+// Rejected results carry a nil Meta; estimated ones always carry their
+// hls.Report.
+func pureEval(f *hls.Facts, sp *space.Space, dev *fpga.Device, n int64, opt hls.Options, pt space.Point) (tuner.Result, bool) {
 	d := sp.Directives(pt)
-	ann, err := merlin.Annotate(k, d)
+	ann, err := merlin.Annotate(f.Info.Kernel, d)
 	if err != nil {
 		return tuner.Result{
 			Point:     pt,
@@ -34,7 +35,7 @@ func pureEval(k *cir.Kernel, sp *space.Space, dev *fpga.Device, n int64, opt hls
 			Minutes:   1, // rejected before synthesis
 		}, true
 	}
-	rep := hls.Estimate(ann, dev, n, opt)
+	rep := hls.EstimateWith(f, ann, dev, n, opt)
 	obj := rep.Seconds()
 	if !rep.Feasible {
 		// Graded penalty: infeasible points are never accepted
@@ -60,6 +61,15 @@ func pureEval(k *cir.Kernel, sp *space.Space, dev *fpga.Device, n int64, opt hls
 // and costs — exactly like NewEvaluator. The evaluator is for one
 // goroutine: its memo is a plain map.
 func NewTracedEvaluator(k *cir.Kernel, sp *space.Space, dev *fpga.Device, n int64, opt hls.Options, tr *obs.Trace) tuner.Evaluator {
+	return NewFactsEvaluator(hls.Analyze(k), sp, dev, n, opt, tr)
+}
+
+// NewFactsEvaluator is NewTracedEvaluator for the kernel f was computed
+// from (f.Info.Kernel), pricing every fresh point from f
+// (hls.EstimateWith) instead of re-analyzing its annotation. Callers
+// that already hold the kernel's facts — the compile cache, a suite
+// running several DSEs of one app — pass the same f to dse.Config.Facts.
+func NewFactsEvaluator(f *hls.Facts, sp *space.Space, dev *fpga.Device, n int64, opt hls.Options, tr *obs.Trace) tuner.Evaluator {
 	cache := map[string]tuner.Result{}
 	return func(pt space.Point) tuner.Result {
 		key := pt.Key()
@@ -80,7 +90,7 @@ func NewTracedEvaluator(k *cir.Kernel, sp *space.Space, dev *fpga.Device, n int6
 				obs.Str("point", key), obs.Str("cache", "fresh"))
 			tr.Count("hls.estimations", 1)
 		}
-		r, rejected := pureEval(k, sp, dev, n, opt, pt)
+		r, rejected := pureEval(f, sp, dev, n, opt, pt)
 		span.End(estimateEndKVs(r, rejected)...)
 		tr.Observe("hls_synth_minutes", r.Minutes)
 		cache[key] = r

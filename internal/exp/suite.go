@@ -50,6 +50,9 @@ type AppResult struct {
 	App    *apps.App
 	Kernel *cir.Kernel
 	Space  *space.Space
+	// Facts are the kernel's analyses, shared by every DSE of the app
+	// (evaluator and collapse guards) and the manual-design estimate.
+	Facts *hls.Facts
 
 	JVMSeconds float64
 
@@ -122,10 +125,14 @@ func (s *Suite) Result(name string, modes Modes) (*AppResult, error) {
 		r = &AppResult{App: a, Kernel: k, Space: space.Identify(k), JVMSeconds: jvm}
 		slot.r = r
 	}
+	if r.Facts == nil {
+		r.Facts = hls.Analyze(r.Kernel)
+	}
 
 	if r.S2FA == nil {
 		cfg := dse.S2FAConfig(s.Seed)
 		cfg.Device = s.Device
+		cfg.Facts = r.Facts
 		r.S2FA = dse.Run(r.Kernel, r.Space, s.evaluator(r), cfg)
 		if rep, ok := dse.Report(r.S2FA.Best); ok {
 			r.BestReport = rep
@@ -135,7 +142,7 @@ func (s *Suite) Result(name string, modes Modes) (*AppResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("exp: manual design for %s: %w", name, err)
 		}
-		r.ManualReport = hls.Estimate(ann, s.Device, int64(r.App.Tasks), hls.Options{StageSplit: r.App.Manual.StageSplit})
+		r.ManualReport = hls.EstimateWith(r.Facts, ann, s.Device, int64(r.App.Tasks), hls.Options{StageSplit: r.App.Manual.StageSplit})
 	}
 	if modes.Vanilla && r.Vanilla == nil {
 		// Stock OpenTuner sees no gradient in the infeasible region.
@@ -143,7 +150,9 @@ func (s *Suite) Result(name string, modes Modes) (*AppResult, error) {
 		r.Vanilla = dse.Run(r.Kernel, r.Space, eval, dse.VanillaConfig(s.Seed))
 	}
 	if modes.Trivial && r.Trivial == nil {
-		r.Trivial = dse.Run(r.Kernel, r.Space, s.evaluator(r), dse.TrivialStopConfig(s.Seed))
+		cfg := dse.TrivialStopConfig(s.Seed)
+		cfg.Facts = r.Facts
+		r.Trivial = dse.Run(r.Kernel, r.Space, s.evaluator(r), cfg)
 	}
 	return r, nil
 }
@@ -175,9 +184,9 @@ func (s *Suite) Warm(appNames []string, modes Modes) error {
 }
 
 // evaluator builds a fresh memoizing evaluator for one DSE run of an
-// app.
+// app, pricing points from the app's shared facts.
 func (s *Suite) evaluator(r *AppResult) tuner.Evaluator {
-	return dse.NewEvaluator(r.Kernel, r.Space, s.Device, int64(r.App.Tasks), hls.Options{})
+	return dse.NewFactsEvaluator(r.Facts, r.Space, s.Device, int64(r.App.Tasks), hls.Options{}, nil)
 }
 
 // AppNames returns the workloads in Table 2 order.

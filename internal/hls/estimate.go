@@ -91,15 +91,62 @@ func (r Report) String() string {
 		r.Cycles, r.TaskII, r.FreqMHz, r.UtilLUT*100, r.UtilFF*100, r.UtilDSP*100, r.UtilBRAM*100, r.SynthMinutes)
 }
 
-// Estimate performs high-level synthesis estimation for the annotated
-// kernel over a batch of n tasks on the given device.
-func Estimate(k *cir.Kernel, dev *fpga.Device, n int64, opt Options) Report {
+// Facts are the directive-independent analyses the estimator prices a
+// kernel's design points from: the loop-nest tree, the dependence
+// verdicts and the access-pattern profile. Info is Dep.Info.
+type Facts struct {
+	Info *cir.KernelInfo
+	Dep  *depend.Analysis
+	Acc  *access.Analysis
+}
+
+// Analyze computes k's facts, walking the loop nest once for both the
+// dependence and the access analysis.
+func Analyze(k *cir.Kernel) *Facts {
 	info := cir.Analyze(k)
-	m := &model{kernel: k, info: info, dep: depend.Analyze(k), acc: access.Analyze(k), dev: dev, n: n, opt: opt}
+	return &Facts{
+		Info: info,
+		Dep:  depend.AnalyzeWithInfo(k, info, depend.Config{}),
+		Acc:  access.AnalyzeWithInfo(k, info),
+	}
+}
+
+// Estimate performs high-level synthesis estimation for the annotated
+// kernel over a batch of n tasks on the given device, analyzing ann
+// afresh. Annotate never restructures and no analysis reads a
+// directive, so a caller pricing many annotations of one kernel
+// analyzes that kernel once and calls EstimateWith instead.
+func Estimate(ann *cir.Kernel, dev *fpga.Device, n int64, opt Options) Report {
+	return EstimateWith(Analyze(ann), ann, dev, n, opt)
+}
+
+// EstimateWith is Estimate for ann, an annotation (merlin.Annotate) of
+// the kernel f was computed from, priced from f instead of a fresh
+// analysis. The result is identical to Estimate's: Annotate never
+// restructures — it writes only Loop.Opt and Param.BitWidth into a
+// clone — and no analysis behind Facts reads either field, so every
+// annotation of a kernel has that kernel's facts. The directives are
+// read from ann: loop options by position in its preorder loop list,
+// which is aligned with f.Info.All, and interface widths from
+// ann.Params. EstimateWith panics when ann's loop nest is not f's.
+func EstimateWith(f *Facts, ann *cir.Kernel, dev *fpga.Device, n int64, opt Options) Report {
+	m := &model{kernel: ann, info: f.Info, dep: f.Dep, acc: f.Acc, dev: dev, n: n, opt: opt}
+	m.loops = cir.AppendLoops(m.loopBuf[:0], ann.Body)
+	if len(m.loops) != len(f.Info.All) {
+		panic(fmt.Sprintf("hls: kernel %s has %d loops, its facts %d", ann.Name, len(m.loops), len(f.Info.All)))
+	}
+	for i, li := range f.Info.All {
+		if m.loops[i].ID != li.Loop.ID {
+			panic(fmt.Sprintf("hls: kernel %s loop %d is %s, its facts' %s", ann.Name, i, m.loops[i].ID, li.Loop.ID))
+		}
+	}
 	return m.run()
 }
 
 type model struct {
+	// kernel is the annotated kernel; info, dep and acc are its facts,
+	// whose LoopInfo.Loop nodes may belong to the unannotated kernel, so
+	// loop directives are read through loopOpt.
 	kernel *cir.Kernel
 	info   *cir.KernelInfo
 	dep    *depend.Analysis
@@ -107,6 +154,10 @@ type model struct {
 	dev    *fpga.Device
 	n      int64
 	opt    Options
+	// loops are kernel's loops aligned with info.All; loopBuf backs
+	// them for the common small nest.
+	loops   []*cir.Loop
+	loopBuf [16]*cir.Loop
 
 	infeasible     string
 	maxRep         int
@@ -292,8 +343,11 @@ func (m *model) laneCap(li *cir.LoopInfo) int {
 // a loop yields a report identical to its parallel=1 sibling — the
 // invariant the DSE dependence collapse relies on.
 func (m *model) inertLanes(li *cir.LoopInfo) bool {
-	return li.Loop.Opt.Pipeline == cir.PipeOff && len(m.dep.EffectiveRace(li.Loop.ID)) > 0
+	return m.loopOpt(li).Pipeline == cir.PipeOff && len(m.dep.EffectiveRace(li.Loop.ID)) > 0
 }
+
+// loopOpt returns the directives annotated on li's loop.
+func (m *model) loopOpt(li *cir.LoopInfo) cir.LoopOpt { return m.loops[li.Index].Opt }
 
 // stage describes one scheduled region: its total latency and its
 // occupancy — the number of cycles it is busy per outer-iteration start,
@@ -313,9 +367,9 @@ func (m *model) loopLat(li *cir.LoopInfo) (float64, float64) {
 }
 
 func (m *model) schedule(li *cir.LoopInfo) stage {
-	l := li.Loop
+	opt := m.loopOpt(li)
 	trip := float64(li.Trip)
-	if l.ID == m.kernel.TaskLoopID {
+	if li.Loop.ID == m.kernel.TaskLoopID {
 		trip = float64(m.n)
 	}
 	if trip <= 0 {
@@ -323,7 +377,7 @@ func (m *model) schedule(li *cir.LoopInfo) stage {
 		// bounded loop): charge a nominal 16 iterations.
 		trip = 16
 	}
-	u := float64(maxInt(1, l.Opt.Parallel))
+	u := float64(maxInt(1, opt.Parallel))
 	if u > trip {
 		u = trip
 	}
@@ -332,13 +386,13 @@ func (m *model) schedule(li *cir.LoopInfo) stage {
 	}
 
 	switch {
-	case l.Opt.Pipeline == cir.PipeFlatten:
+	case opt.Pipeline == cir.PipeFlatten:
 		return m.flattenStage(li, trip, u)
-	case l.Opt.Pipeline == cir.PipeOn && len(li.Children) == 0:
+	case opt.Pipeline == cir.PipeOn && len(li.Children) == 0:
 		// The scheduler never produces a pipeline slower than the
 		// sequential schedule (it falls back when II offers no gain).
 		return betterStage(m.pipeLeafStage(li, trip, u), m.seqStage(li, trip, u))
-	case l.Opt.Pipeline == cir.PipeOn:
+	case opt.Pipeline == cir.PipeOn:
 		return betterStage(m.dataflowStage(li, trip, u), m.seqStage(li, trip, u))
 	default:
 		return m.seqStage(li, trip, u)
@@ -736,7 +790,8 @@ func (m *model) resources() (lut, ff, dsp, bram int) {
 
 	var walk func(li *cir.LoopInfo, rep int)
 	walk = func(li *cir.LoopInfo, rep int) {
-		u := maxInt(1, li.Loop.Opt.Parallel)
+		opt := m.loopOpt(li)
+		u := maxInt(1, opt.Parallel)
 		if li.Trip > 0 && int64(u) > li.Trip {
 			u = int(li.Trip)
 		}
@@ -750,8 +805,8 @@ func (m *model) resources() (lut, ff, dsp, bram int) {
 		if rep > m.maxRep {
 			m.maxRep = rep
 		}
-		pipelined := li.Loop.Opt.Pipeline != cir.PipeOff
-		if li.Loop.Opt.Pipeline == cir.PipeFlatten {
+		pipelined := opt.Pipeline != cir.PipeOff
+		if opt.Pipeline == cir.PipeFlatten {
 			ops, _, ok := m.flattenOps(li)
 			if ok {
 				addOps(ops, rep, true)
@@ -773,7 +828,7 @@ func (m *model) resources() (lut, ff, dsp, bram int) {
 	for _, r := range m.info.Roots {
 		walk(r, 1)
 		if r.Loop.ID == m.kernel.TaskLoopID {
-			taskRep = maxInt(1, r.Loop.Opt.Parallel)
+			taskRep = maxInt(1, m.loopOpt(r).Parallel)
 		}
 	}
 
@@ -812,8 +867,8 @@ func (m *model) resources() (lut, ff, dsp, bram int) {
 	// staged per burst), which is the main effect of the Table 1 tiling
 	// factor on the generated designs.
 	burstTasks := 64
-	if tl := m.info.ByID[m.kernel.TaskLoopID]; tl != nil && tl.Loop.Opt.Tile > 1 {
-		burstTasks = tl.Loop.Opt.Tile
+	if tl := m.info.ByID[m.kernel.TaskLoopID]; tl != nil && m.loopOpt(tl).Tile > 1 {
+		burstTasks = m.loopOpt(tl).Tile
 		if burstTasks > 256 {
 			burstTasks = 256
 		}

@@ -3,12 +3,14 @@ package merlin_test
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"s2fa/internal/apps"
 	"s2fa/internal/blaze"
 	"s2fa/internal/cir"
 	"s2fa/internal/merlin"
+	"s2fa/internal/space"
 )
 
 // execKernel runs a kernel over generated inputs and returns its output
@@ -232,5 +234,49 @@ func TestAnnotateValidation(t *testing.T) {
 		Loops: map[string]cir.LoopOpt{innerID: {Parallel: 100000}},
 	}); err == nil {
 		t.Error("oversized parallel factor accepted")
+	}
+}
+
+// TestAnnotateWritesOnlyDirectives checks that Annotate changes no field
+// of its clone other than Loop.Opt and Param.BitWidth: the HLS estimator
+// prices every annotation of a kernel from the kernel's own analyses
+// (hls.EstimateWith), which is exact only while Annotate never
+// restructures.
+func TestAnnotateWritesOnlyDirectives(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	changed := 0
+	for _, a := range apps.All() {
+		k, err := a.Kernel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp := space.Identify(k)
+		ref := cir.CloneKernel(k)
+		for i := 0; i < 16; i++ {
+			ann, err := merlin.Annotate(k, sp.Directives(sp.RandomPoint(rng)))
+			if err != nil {
+				continue
+			}
+			if reflect.DeepEqual(ann, ref) {
+				continue
+			}
+			changed++
+			base, loops := k.Loops(), ann.Loops()
+			if len(base) != len(loops) {
+				t.Fatalf("%s: annotation has %d loops, kernel %d", a.Name, len(loops), len(base))
+			}
+			for j, l := range loops {
+				l.Opt = base[j].Opt
+			}
+			for j := range ann.Params {
+				ann.Params[j].BitWidth = k.Params[j].BitWidth
+			}
+			if !reflect.DeepEqual(ann, ref) {
+				t.Errorf("%s: Annotate changed more than loop directives and bit-widths", a.Name)
+			}
+		}
+	}
+	if changed == 0 {
+		t.Fatal("no random directive set changed a kernel")
 	}
 }
