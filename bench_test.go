@@ -264,12 +264,42 @@ func BenchmarkHLSEstimateWithFacts(b *testing.B) {
 		b.Fatal(err)
 	}
 	facts := hls.Analyze(k)
+	design := facts.DesignOf(ann)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		hls.EstimateWith(facts, ann, dev, int64(a.Tasks), hls.Options{})
+		hls.EstimateWith(facts, design, dev, int64(a.Tasks), hls.Options{})
 	}
 }
+
+// BenchmarkPointKey measures the two identities of a Smith-Waterman
+// design point: the reporting Key and the packed key the DSE's memo and
+// dedup maps use.
+func BenchmarkPointKey(b *testing.B) {
+	k, err := apps.Get("S-W").Kernel()
+	if err != nil {
+		b.Fatal(err)
+	}
+	pt := space.Identify(k).PerformanceSeed()
+	b.Run("Key", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			keySink = pt.Key()
+		}
+	})
+	b.Run("Packed", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			packedSink = pt.Packed()
+		}
+	})
+}
+
+// Sinks keep the compiler from eliding the measured calls.
+var (
+	keySink    string
+	packedSink space.PackedKey
+)
 
 // BenchmarkMerlinMaterialize measures structural transformation (tile +
 // unroll with tree reduction) of the LR kernel.

@@ -30,6 +30,7 @@ import (
 	"s2fa/internal/b2c"
 	"s2fa/internal/ccache"
 	"s2fa/internal/compile"
+	"s2fa/internal/dse"
 	"s2fa/internal/exp"
 	"s2fa/internal/fpga"
 	"s2fa/internal/hls"
@@ -344,7 +345,15 @@ func measure(seed int64) (*benchReport, error) {
 	stage("space_identify", func() { space.Identify(k) })
 	stage("hls_estimate", func() { hls.Estimate(ann, dev, int64(a.Tasks), hls.Options{}) })
 	facts := hls.Analyze(k)
-	stage("hls_estimate_facts", func() { hls.EstimateWith(facts, ann, dev, int64(a.Tasks), hls.Options{}) })
+	design := facts.DesignOf(ann)
+	stage("hls_estimate_facts", func() { hls.EstimateWith(facts, design, dev, int64(a.Tasks), hls.Options{}) })
+	perf := sp.PerformanceSeed()
+	stage("point_key", func() { _ = perf.Key() })
+	// One fresh design point through a new DSE evaluator: lowering, the
+	// Merlin legality checks and pricing from the kernel's facts.
+	stage("dse_eval_fresh", func() {
+		dse.NewFactsEvaluator(facts, sp, dev, int64(a.Tasks), hls.Options{}, nil)(perf)
+	})
 	stage("merlin_annotate", func() {
 		if _, err := merlin.Annotate(k, sp.Directives(sp.PerformanceSeed())); err != nil {
 			panic(err)

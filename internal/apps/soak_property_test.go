@@ -402,7 +402,7 @@ func runSoakPipeline(k *kdslgen.Kernel, seed int64) (string, string) {
 			continue
 		}
 		pt := sp.RandomPoint(lrng)
-		pt[p.Name] = space.PipeFlattenVal
+		pt.Set(i, space.PipeFlattenVal)
 		pts = append(pts, pt)
 	}
 	for _, pt := range pts {

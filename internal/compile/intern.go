@@ -1,5 +1,7 @@
 package compile
 
+import "strings"
+
 // Interner deduplicates string spellings. Kernel sources repeat the same
 // identifiers (loop variables, buffer names, type names) thousands of
 // times across compilations; interning makes every occurrence share one
@@ -28,14 +30,16 @@ func (in *Interner) Intern(b []byte) string {
 }
 
 // InternString is Intern for an already-materialized string (e.g. a
-// substring of the source text): the canonical copy keeps the whole
-// source alive no longer than the token did.
+// substring of the source text). On first sight it stores a copy of s,
+// so the interner, which lives as long as its Scratch, never keeps the
+// string s points into (a whole kernel source) alive.
 func (in *Interner) InternString(s string) string {
 	if c, ok := in.m[s]; ok {
 		return c
 	}
-	in.m[s] = s
-	return s
+	c := strings.Clone(s)
+	in.m[c] = c
+	return c
 }
 
 // Len reports how many distinct strings are interned.

@@ -25,39 +25,42 @@ import (
 // preserved by construction. counter tallies first-time points served
 // from a sibling's report.
 func accessPruneEvaluator(acc *access.Analysis, sp *space.Space, inner tuner.Evaluator, counter *int, tr *obs.Trace) tuner.Evaluator {
-	type capped struct {
-		id  string
-		cap int
-	}
+	// capped holds the position of a port-capped loop's parallel factor.
+	type capped struct{ par, cap int }
 	var caps []capped
 	for _, id := range acc.LoopOrder {
 		if c := acc.PortCap(id); c > 0 {
-			caps = append(caps, capped{id: id, cap: c})
+			if par := sp.Index(id + ".parallel"); par >= 0 {
+				caps = append(caps, capped{par: par, cap: c})
+			}
 		}
 	}
 	// The mutex covers cache/seen/counter; the caps are read-only after
 	// construction.
 	var mu sync.Mutex
-	cache := map[string]tuner.Result{}
-	seen := map[string]bool{}
-	canonicalKey := func(pt space.Point) string {
+	cache := map[space.PackedKey]tuner.Result{}
+	seen := map[space.PackedKey]bool{}
+	// canonical returns pt's cap-clamped sibling, or the zero Point when
+	// pt is its own canonical design.
+	canonical := func(pt space.Point) space.Point {
 		var canon space.Point
 		for _, c := range caps {
-			if pt[c.id+".parallel"] > c.cap {
-				if canon == nil {
+			if pt.At(c.par) > c.cap {
+				if canon.IsZero() {
 					canon = pt.Clone()
 				}
-				canon[c.id+".parallel"] = c.cap
+				canon.Set(c.par, c.cap)
 			}
 		}
-		if canon == nil {
-			return pt.Key()
-		}
-		return canon.Key()
+		return canon
 	}
 	return func(pt space.Point) tuner.Result {
-		key := canonicalKey(pt)
-		ptKey := pt.Key()
+		canon := canonical(pt)
+		ptKey := pt.Packed()
+		key := ptKey
+		if !canon.IsZero() {
+			key = canon.Packed()
+		}
 		mu.Lock()
 		if r, ok := cache[key]; ok {
 			r.Point = pt
@@ -70,7 +73,7 @@ func accessPruneEvaluator(acc *access.Analysis, sp *space.Space, inner tuner.Eva
 				*counter++
 				if tr != nil {
 					tr.Event("dse", "access-collapse",
-						obs.Str("point", ptKey), obs.Str("canonical", key))
+						obs.Str("point", pt.Key()), obs.Str("canonical", canonicalKey(pt, canon)))
 					tr.Count("dse.access_pruned", 1)
 				}
 			}

@@ -33,16 +33,16 @@ func TestAccessPruneEvaluatorShortCircuit(t *testing.T) {
 	eval := accessPruneEvaluator(access.Analyze(k), sp, inner, &pruned, nil)
 
 	sibling := sp.AreaSeed()
-	sibling["L2.parallel"] = 32
-	sibling["L2.pipeline"] = space.PipeOnVal
+	setParam(sp, sibling, "L2.parallel", 32)
+	setParam(sp, sibling, "L2.pipeline", space.PipeOnVal)
 	eval(sibling)
 	if innerCalls != 1 {
 		t.Fatalf("cap sibling: innerCalls=%d, want 1", innerCalls)
 	}
 
 	starved := sp.AreaSeed()
-	starved["L2.parallel"] = 39
-	starved["L2.pipeline"] = space.PipeOnVal
+	setParam(sp, starved, "L2.parallel", 39)
+	setParam(sp, starved, "L2.pipeline", space.PipeOnVal)
 	r := eval(starved)
 	if pruned != 1 || innerCalls != 1 {
 		t.Fatalf("port-starved point: pruned=%d innerCalls=%d, want 1/1", pruned, innerCalls)
@@ -64,8 +64,8 @@ func TestAccessPruneEvaluatorShortCircuit(t *testing.T) {
 	// Below the cap every factor buys real lanes; such points must pass
 	// through untouched.
 	under := sp.AreaSeed()
-	under["L2.parallel"] = 27
-	under["L2.pipeline"] = space.PipeOnVal
+	setParam(sp, under, "L2.parallel", 27)
+	setParam(sp, under, "L2.pipeline", space.PipeOnVal)
 	ru := eval(under)
 	if innerCalls != 2 || pruned != 1 {
 		t.Errorf("under-cap point: innerCalls=%d pruned=%d, want a fresh inner call and counter unchanged", innerCalls, pruned)

@@ -31,11 +31,15 @@ func rangeCollapseEvaluator(k *cir.Kernel, sp *space.Space, dev *fpga.Device, in
 	// table itself is read-only after construction). Run only calls it
 	// from the scheduling goroutine, so it is uncontended there.
 	var mu sync.Mutex
-	cache := map[string]tuner.Result{}
-	seen := map[string]bool{}
+	cache := map[space.PackedKey]tuner.Result{}
+	seen := map[space.PackedKey]bool{}
 	return func(pt space.Point) tuner.Result {
-		key := eq.canonicalKey(pt)
-		ptKey := pt.Key()
+		canon := eq.canonical(pt)
+		ptKey := pt.Packed()
+		key := ptKey
+		if !canon.IsZero() {
+			key = canon.Packed()
+		}
 		mu.Lock()
 		if r, ok := cache[key]; ok {
 			r.Point = pt
@@ -48,7 +52,7 @@ func rangeCollapseEvaluator(k *cir.Kernel, sp *space.Space, dev *fpga.Device, in
 				*counter++
 				if tr != nil {
 					tr.Event("dse", "collapse",
-						obs.Str("point", ptKey), obs.Str("canonical", key))
+						obs.Str("point", pt.Key()), obs.Str("canonical", canonicalKey(pt, canon)))
 					tr.Count("dse.collapsed", 1)
 				}
 			}
@@ -78,8 +82,9 @@ type widthEquiv struct {
 	// floor in cycles at unit task parallelism (the parallel factor
 	// scales payload and floor alike and cancels).
 	cap, floor float64
-	tileName   string
-	pipeName   string
+	// tile and pipe are the positions of the task loop's tile and
+	// pipeline factors in sp.Params (-1 when absent, which reads as 0).
+	tile, pipe int
 	widthIdx   []int // FactorBitWidth indices into sp.Params
 	bytesOf    map[string]float64
 	reduceOut  map[string]bool
@@ -89,8 +94,8 @@ func newWidthEquiv(k *cir.Kernel, sp *space.Space, dev *fpga.Device) *widthEquiv
 	e := &widthEquiv{
 		k: k, sp: sp,
 		cap:       float64(dev.DDRBytesPerCycle),
-		tileName:  k.TaskLoopID + ".tile",
-		pipeName:  k.TaskLoopID + ".pipeline",
+		tile:      sp.Index(k.TaskLoopID + ".tile"),
+		pipe:      sp.Index(k.TaskLoopID + ".pipeline"),
 		bytesOf:   map[string]float64{},
 		reduceOut: map[string]bool{},
 	}
@@ -117,22 +122,28 @@ func newWidthEquiv(k *cir.Kernel, sp *space.Space, dev *fpga.Device) *widthEquiv
 	return e
 }
 
-// canonicalKey maps pt to the key of its width-canonical sibling: each
-// proven-range buffer's width is lowered to the smallest domain value the
-// model cannot distinguish from it. Points outside the rule's scope (task
-// loop tiled, no width factors) keep their own key.
-func (e *widthEquiv) canonicalKey(pt space.Point) string {
-	if len(e.widthIdx) == 0 || e.cap <= 0 || pt[e.tileName] > 1 {
-		return pt.Key()
+// at returns pt's value at position i, 0 when i is -1.
+func at(pt space.Point, i int) int {
+	if i < 0 {
+		return 0
 	}
-	pipe := pt[e.pipeName]
+	return pt.At(i)
+}
+
+// canonical returns pt's width-canonical sibling: each proven-range
+// buffer's width is lowered to the smallest domain value the model cannot
+// distinguish from it. It returns the zero Point when pt is its own
+// canonical design, as are points outside the rule's scope (task loop
+// tiled, no width factors).
+func (e *widthEquiv) canonical(pt space.Point) space.Point {
 	var canon space.Point
+	if len(e.widthIdx) == 0 || e.cap <= 0 || at(pt, e.tile) > 1 {
+		return canon
+	}
+	pipe := at(pt, e.pipe)
 	for _, i := range e.widthIdx {
 		wp := &e.sp.Params[i]
-		w, ok := pt[wp.Name]
-		if !ok {
-			continue
-		}
+		w := pt.At(i)
 		buf := e.k.Param(wp.Buffer)
 		if buf == nil || !buf.ValKnown {
 			continue
@@ -148,17 +159,14 @@ func (e *widthEquiv) canonicalKey(pt space.Point) string {
 			if !e.sameInterface(pt, wp.Buffer, cand, w, pipe) {
 				continue
 			}
-			if canon == nil {
+			if canon.IsZero() {
 				canon = pt.Clone()
 			}
-			canon[wp.Name] = cand
+			canon.Set(i, cand)
 			break
 		}
 	}
-	if canon == nil {
-		return pt.Key()
-	}
-	return canon.Key()
+	return canon
 }
 
 // sameInterface reports whether widths w1 and w2 on buffer buf yield the
@@ -177,7 +185,7 @@ func (e *widthEquiv) sameInterface(pt space.Point, buf string, w1, w2, pipe int)
 			if wp.Buffer == buf {
 				continue
 			}
-			others += float64(pt[wp.Name]) / 8
+			others += float64(pt.At(i)) / 8
 		}
 		return others+float64(w1)/8 >= e.cap && others+float64(w2)/8 >= e.cap
 	}

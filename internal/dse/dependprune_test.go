@@ -33,16 +33,16 @@ func TestDependPruneEvaluatorShortCircuit(t *testing.T) {
 	// L2 carries the cell recurrence through H, so parallel lanes without
 	// a pipeline provably serialize and share the sibling's report.
 	sibling := sp.AreaSeed()
-	sibling["L2.parallel"] = 1
-	sibling["L2.pipeline"] = space.PipeOffVal
+	setParam(sp, sibling, "L2.parallel", 1)
+	setParam(sp, sibling, "L2.pipeline", space.PipeOffVal)
 	eval(sibling)
 	if innerCalls != 1 {
 		t.Fatalf("canonical sibling: innerCalls=%d, want 1", innerCalls)
 	}
 
 	contradicting := sp.AreaSeed()
-	contradicting["L2.parallel"] = 4
-	contradicting["L2.pipeline"] = space.PipeOffVal
+	setParam(sp, contradicting, "L2.parallel", 4)
+	setParam(sp, contradicting, "L2.pipeline", space.PipeOffVal)
 	r := eval(contradicting)
 	if pruned != 1 || innerCalls != 1 {
 		t.Fatalf("contradicting point: pruned=%d innerCalls=%d, want 1/1", pruned, innerCalls)
@@ -64,8 +64,8 @@ func TestDependPruneEvaluatorShortCircuit(t *testing.T) {
 	// The wavefront variant — same lanes, pipelined — is the profitable
 	// S-W design and must never collapse.
 	wavefront := sp.AreaSeed()
-	wavefront["L2.parallel"] = 4
-	wavefront["L2.pipeline"] = space.PipeOnVal
+	setParam(sp, wavefront, "L2.parallel", 4)
+	setParam(sp, wavefront, "L2.pipeline", space.PipeOnVal)
 	rw := eval(wavefront)
 	if innerCalls != 2 || pruned != 1 {
 		t.Errorf("wavefront point: innerCalls=%d pruned=%d, want a fresh inner call and counter unchanged", innerCalls, pruned)

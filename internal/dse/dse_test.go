@@ -12,6 +12,31 @@ import (
 	"s2fa/internal/tuner"
 )
 
+// setParam assigns the named parameter of pt, a point of sp.
+func setParam(sp *space.Space, pt space.Point, name string, v int) {
+	pt.Set(sp.Index(name), v)
+}
+
+// fixtureSpace returns a space over the named parameters, each ranging
+// over [0, 1000], for tests that need points but no kernel.
+func fixtureSpace(names ...string) *space.Space {
+	params := make([]space.Param, len(names))
+	for i, name := range names {
+		params[i] = space.Param{Name: name, Min: 0, Max: 1000}
+	}
+	return space.New(nil, params)
+}
+
+// fixturePoint returns the point of sp with the given values, in
+// parameter order.
+func fixturePoint(sp *space.Space, vals ...int) space.Point {
+	pt := sp.NewPoint()
+	for i, v := range vals {
+		pt.Set(i, v)
+	}
+	return pt
+}
+
 func kmeansSetup(t *testing.T) (*space.Space, tuner.Evaluator) {
 	t.Helper()
 	a := apps.Get("KMeans")
@@ -38,7 +63,7 @@ func TestPartitionsDisjointAndCovering(t *testing.T) {
 	contains := func(p Partition, pt space.Point) bool {
 		for i := range p.Sub.Params {
 			prm := &p.Sub.Params[i]
-			if !prm.Contains(pt[prm.Name]) {
+			if !prm.Contains(pt.At(i)) {
 				return false
 			}
 		}
@@ -82,12 +107,13 @@ func TestPartitionsSplitOnTaskSchedule(t *testing.T) {
 func TestEntropyStopperConverges(t *testing.T) {
 	es := NewEntropyStopper()
 	st := es.Clone().(*EntropyStopper)
-	pt := space.Point{"a": 1, "b": 2, "c": 3}
+	sp := fixtureSpace("a", "b", "c")
+	pt := fixturePoint(sp, 1, 2, 3)
 	stopped := false
 	for i := 0; i < 200; i++ {
 		// No improvements: a dead partition must eventually stop.
 		mut := pt.Clone()
-		mut["a"] = i % 5
+		setParam(sp, mut, "a", i%5)
 		if st.Observe(tuner.Result{Point: mut, Objective: 100, Feasible: true}, false) {
 			stopped = true
 			break
@@ -100,12 +126,13 @@ func TestEntropyStopperConverges(t *testing.T) {
 
 func TestEntropyStopperStaysAliveWhileImproving(t *testing.T) {
 	st := NewEntropyStopper().Clone().(*EntropyStopper)
-	pt := space.Point{"a": 1, "b": 2}
+	sp := fixtureSpace("a", "b")
+	pt := fixturePoint(sp, 1, 2)
 	obj := 1000.0
 	for i := 0; i < 60; i++ {
 		obj *= 0.9 // strong steady improvement
 		mut := pt.Clone()
-		mut["a"] = i
+		setParam(sp, mut, "a", i)
 		if st.Observe(tuner.Result{Point: mut, Objective: obj, Feasible: true}, true) {
 			t.Fatalf("stopped at iteration %d despite steady improvement", i)
 		}
@@ -114,7 +141,7 @@ func TestEntropyStopperStaysAliveWhileImproving(t *testing.T) {
 
 func TestTrivialStopper(t *testing.T) {
 	ts := NewTrivialStopper().Clone().(*TrivialStopper)
-	pt := space.Point{"a": 1}
+	pt := fixturePoint(fixtureSpace("a"), 1)
 	// Improvements keep it alive.
 	obj := 100.0
 	for i := 0; i < 30; i++ {
@@ -218,11 +245,11 @@ func TestEvaluatorPenaltyGradient(t *testing.T) {
 	sp := space.Identify(k)
 	eval := NewEvaluator(k, sp, fpga.VU9P(), 1024, hls.Options{})
 	mild := sp.AreaSeed()
-	mild["L0.parallel"] = 128 // somewhat over budget
+	setParam(sp, mild, "L0.parallel", 128) // somewhat over budget
 	wild := sp.AreaSeed()
-	wild["L0.parallel"] = 256
-	wild["L1.parallel"] = 64
-	wild["L2.parallel"] = 64
+	setParam(sp, wild, "L0.parallel", 256)
+	setParam(sp, wild, "L1.parallel", 64)
+	setParam(sp, wild, "L2.parallel", 64)
 	rm, rw := eval(mild), eval(wild)
 	if rm.Feasible || rw.Feasible {
 		t.Skip("expected both infeasible under current model")

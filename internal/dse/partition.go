@@ -146,8 +146,8 @@ func BuildPartitions(s *space.Space, k *cir.Kernel, eval tuner.Evaluator, cfg Pa
 		// Local walk around the conservative seed: mutate a few factors.
 		pt := area.Clone()
 		for m := 0; m < 2+rng.Intn(3); m++ {
-			pp := &s.Params[rng.Intn(len(s.Params))]
-			pt[pp.Name] = pp.Random(rng)
+			j := rng.Intn(len(s.Params))
+			pt.Set(j, s.Params[j].Random(rng))
 		}
 		pts = append(pts, pt)
 	}
@@ -176,7 +176,8 @@ func BuildPartitions(s *space.Space, k *cir.Kernel, eval tuner.Evaluator, cfg Pa
 	// branch with the loop-hierarchy rules.
 	taskPipe := k.TaskLoopID + ".pipeline"
 	var parts []Partition
-	tp := s.Param(taskPipe)
+	tpi := s.Index(taskPipe)
+	tp := &s.Params[tpi]
 	for ord := 0; ord < tp.Size(); ord++ {
 		c := space.Constraint{Param: taskPipe, LoOrd: ord, HiOrd: ord}
 		sub, err := space.Restrict(s, []space.Constraint{c})
@@ -185,7 +186,7 @@ func BuildPartitions(s *space.Space, k *cir.Kernel, eval tuner.Evaluator, cfg Pa
 		}
 		var branchSamples []treeSample
 		for _, smp := range samples {
-			if tp.Ordinal(smp.pt[taskPipe]) == ord {
+			if tp.Ordinal(smp.pt.At(tpi)) == ord {
 				branchSamples = append(branchSamples, smp)
 			}
 		}
@@ -252,9 +253,10 @@ func buildTree(samples []treeSample, rules []Rule, s *space.Space, cfg Partition
 }
 
 func split(samples []treeSample, r *Rule, s *space.Space) (l, rr []treeSample) {
-	p := s.Param(r.Param)
+	i := s.Index(r.Param)
+	p := &s.Params[i]
 	for _, smp := range samples {
-		if p.Ordinal(smp.pt[r.Param]) < r.SplitOrd {
+		if p.Ordinal(smp.pt.At(i)) < r.SplitOrd {
 			l = append(l, smp)
 		} else {
 			rr = append(rr, smp)

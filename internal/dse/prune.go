@@ -67,35 +67,45 @@ func staticPruneEvaluator(k *cir.Kernel, sp *space.Space, inner tuner.Evaluator,
 // II model rewards. counter tallies first-time points served from a
 // sibling's report.
 func dependPruneEvaluator(dep *depend.Analysis, sp *space.Space, inner tuner.Evaluator, counter *int, tr *obs.Trace) tuner.Evaluator {
-	var serializing []string
+	// serial holds the parameter positions of each serializing loop's
+	// pipeline and parallel factors (pipe is -1 when the space has no
+	// pipeline factor for the loop, which reads as off).
+	type serialLoop struct{ pipe, par int }
+	var serial []serialLoop
 	for _, id := range dep.Order {
-		if dep.Serializing(id) {
-			serializing = append(serializing, id)
+		if !dep.Serializing(id) {
+			continue
+		}
+		if par := sp.Index(id + ".parallel"); par >= 0 {
+			serial = append(serial, serialLoop{pipe: sp.Index(id + ".pipeline"), par: par})
 		}
 	}
 	// The mutex covers cache/seen/counter; the verdicts are read-only
 	// after construction.
 	var mu sync.Mutex
-	cache := map[string]tuner.Result{}
-	seen := map[string]bool{}
-	canonicalKey := func(pt space.Point) string {
+	cache := map[space.PackedKey]tuner.Result{}
+	seen := map[space.PackedKey]bool{}
+	// canonical returns pt's parallel=1 sibling, or the zero Point when pt
+	// is its own canonical design.
+	canonical := func(pt space.Point) space.Point {
 		var canon space.Point
-		for _, id := range serializing {
-			if pt[id+".pipeline"] == space.PipeOffVal && pt[id+".parallel"] > 1 {
-				if canon == nil {
+		for _, l := range serial {
+			if (l.pipe < 0 || pt.At(l.pipe) == space.PipeOffVal) && pt.At(l.par) > 1 {
+				if canon.IsZero() {
 					canon = pt.Clone()
 				}
-				canon[id+".parallel"] = 1
+				canon.Set(l.par, 1)
 			}
 		}
-		if canon == nil {
-			return pt.Key()
-		}
-		return canon.Key()
+		return canon
 	}
 	return func(pt space.Point) tuner.Result {
-		key := canonicalKey(pt)
-		ptKey := pt.Key()
+		canon := canonical(pt)
+		ptKey := pt.Packed()
+		key := ptKey
+		if !canon.IsZero() {
+			key = canon.Packed()
+		}
 		mu.Lock()
 		if r, ok := cache[key]; ok {
 			r.Point = pt
@@ -108,7 +118,7 @@ func dependPruneEvaluator(dep *depend.Analysis, sp *space.Space, inner tuner.Eva
 				*counter++
 				if tr != nil {
 					tr.Event("dse", "depend-collapse",
-						obs.Str("point", ptKey), obs.Str("canonical", key))
+						obs.Str("point", pt.Key()), obs.Str("canonical", canonicalKey(pt, canon)))
 					tr.Count("dse.depend_pruned", 1)
 				}
 			}
@@ -123,4 +133,13 @@ func dependPruneEvaluator(dep *depend.Analysis, sp *space.Space, inner tuner.Eva
 		mu.Unlock()
 		return r
 	}
+}
+
+// canonicalKey is the Key of the design a collapse guard served pt from:
+// canon, or pt itself when canon is the zero Point.
+func canonicalKey(pt, canon space.Point) string {
+	if canon.IsZero() {
+		return pt.Key()
+	}
+	return canon.Key()
 }

@@ -41,7 +41,7 @@ func TestStaticPruneEvaluatorShortCircuit(t *testing.T) {
 	// The task loop nests the while-loop traceback, so flattening it is a
 	// provable lint error (RuleFlattenVarTrip).
 	illegal := sp.AreaSeed()
-	illegal[k.TaskLoopID+".pipeline"] = space.PipeFlattenVal
+	setParam(sp, illegal, k.TaskLoopID+".pipeline", space.PipeFlattenVal)
 	r := eval(illegal)
 	if pruned != 1 || innerCalls != 0 {
 		t.Fatalf("illegal point: pruned=%d innerCalls=%d, want 1/0", pruned, innerCalls)

@@ -2,7 +2,6 @@ package dse
 
 import (
 	"math"
-	"sort"
 
 	"s2fa/internal/space"
 	"s2fa/internal/tuner"
@@ -33,8 +32,11 @@ type EntropyStopper struct {
 	// anything.
 	MinIterations int
 
-	attempts     map[string]float64
-	uphill       map[string]float64
+	// attempts and uphill count, per parameter position, the observed
+	// changes of each factor and those that improved the objective.
+	attempts     []float64
+	uphill       []float64
+	order        []int // parameter positions in sorted name order
 	prevObj      float64
 	prevPt       space.Point
 	prevH        float64
@@ -64,13 +66,10 @@ func (e *EntropyStopper) Observe(r tuner.Result, newBest bool) bool {
 		// minimum iteration count scales with the number of factors: the
 		// conditional probabilities need at least ~one observation per
 		// factor before H(D_i) is meaningful.
-		e.attempts = map[string]float64{}
-		e.uphill = map[string]float64{}
-		//determinism:allow order-independent: zero-inits one entry per key
-		for name := range r.Point {
-			e.attempts[name] = 0
-		}
-		dynMin := 2 * len(r.Point)
+		e.attempts = make([]float64, r.Point.Len())
+		e.uphill = make([]float64, r.Point.Len())
+		e.order = r.Point.SortedOrder()
+		dynMin := 2 * r.Point.Len()
 		if dynMin > 64 {
 			dynMin = 64
 		}
@@ -79,16 +78,15 @@ func (e *EntropyStopper) Observe(r tuner.Result, newBest bool) bool {
 		}
 	}
 	e.iters++
-	if e.prevPt != nil {
+	if !e.prevPt.IsZero() {
 		// An "uphill" result must improve meaningfully (>1%): endless
 		// sub-percent factor tweaks should not keep the criterion alive.
 		improved := r.Feasible && (math.IsInf(e.prevObj, 1) || r.Objective < e.prevObj*0.99)
-		//determinism:allow order-independent: commutative counter increments on distinct keys
-		for name, v := range r.Point {
-			if e.prevPt[name] != v {
-				e.attempts[name]++
+		for i := range e.attempts {
+			if e.prevPt.At(i) != r.Point.At(i) {
+				e.attempts[i]++
 				if improved {
-					e.uphill[name]++
+					e.uphill[i]++
 				}
 			}
 		}
@@ -124,35 +122,30 @@ func (e *EntropyStopper) Observe(r tuner.Result, newBest bool) bool {
 // entropy computes H(D_i) = -sum_j p_j log p_j over the normalized
 // conditional uphill probabilities, with Laplace smoothing so untried
 // factors keep residual uncertainty. Factors are visited in sorted name
-// order: float summation is order-sensitive, and Go map iteration order
-// varies per run, so a fixed order is what makes H(D_i) — and therefore
-// the stop decision — reproducible across runs and engines.
+// order: float summation is order-sensitive, so a fixed order, the one
+// the stop decisions were first recorded with, keeps H(D_i) reproducible.
 func (e *EntropyStopper) entropy() float64 {
-	const eps = 0.05
-	names := make([]string, 0, len(e.attempts))
-	//determinism:allow collect-then-sort: keys are ordered before any float math
-	for name := range e.attempts {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var ps []float64
 	var sum float64
-	for _, name := range names {
-		p := (e.uphill[name] + eps) / (e.attempts[name] + 2*eps)
-		ps = append(ps, p)
-		sum += p
+	for _, i := range e.order {
+		sum += e.prob(i)
 	}
 	if sum == 0 {
 		return 0
 	}
 	var h float64
-	for _, p := range ps {
-		q := p / sum
+	for _, i := range e.order {
+		q := e.prob(i) / sum
 		if q > 0 {
 			h -= q * math.Log2(q)
 		}
 	}
 	return h
+}
+
+// prob is factor i's smoothed conditional uphill probability.
+func (e *EntropyStopper) prob(i int) float64 {
+	const eps = 0.05
+	return (e.uphill[i] + eps) / (e.attempts[i] + 2*eps)
 }
 
 // TrivialStopper is the straightforward baseline criterion the paper
@@ -184,7 +177,7 @@ func (t *TrivialStopper) Clone() Stopper {
 // improvements keep the search alive for hours.
 func (t *TrivialStopper) Observe(r tuner.Result, newBest bool) bool {
 	if t.iters == 0 {
-		dynMin := 2 * len(r.Point)
+		dynMin := 2 * r.Point.Len()
 		if dynMin > 64 {
 			dynMin = 64
 		}

@@ -156,17 +156,17 @@ func TestStopperEdgeCases(t *testing.T) {
 // one dominant factor) and requires a finite value every time.
 func TestEntropyStopperEntropyFiniteUnderDegenerateCounts(t *testing.T) {
 	e := NewEntropyStopper()
-	e.attempts = map[string]float64{}
-	e.uphill = map[string]float64{}
 	if h := e.entropy(); h != 0 {
 		t.Fatalf("entropy of empty factor set = %v, want 0", h)
 	}
-	e.attempts = map[string]float64{"a": 0, "b": 0, "c": 0}
+	e.order = []int{0, 1, 2}
+	e.attempts = []float64{0, 0, 0}
+	e.uphill = []float64{0, 0, 0}
 	if h := e.entropy(); math.IsNaN(h) || math.IsInf(h, 0) {
 		t.Fatalf("entropy with zero attempts non-finite: %v", h)
 	}
-	e.attempts = map[string]float64{"a": 1000, "b": 0, "c": 0}
-	e.uphill = map[string]float64{"a": 1000}
+	e.attempts = []float64{1000, 0, 0}
+	e.uphill = []float64{1000, 0, 0}
 	if h := e.entropy(); math.IsNaN(h) || math.IsInf(h, 0) || h < 0 {
 		t.Fatalf("entropy with dominant factor invalid: %v", h)
 	}

@@ -11,12 +11,14 @@ import (
 // wide returns a design point with n factors, mutating factor (i mod n)
 // each call so the stopper sees realistic single-factor moves.
 func widePoint(n, i int) space.Point {
-	pt := make(space.Point, n)
-	for j := 0; j < n; j++ {
-		pt[fmt.Sprintf("p%d", j)] = 1
+	names := make([]string, n)
+	vals := make([]int, n)
+	for j := range names {
+		names[j] = fmt.Sprintf("p%d", j)
+		vals[j] = 1
 	}
-	pt[fmt.Sprintf("p%d", i%n)] = 2 + i
-	return pt
+	vals[i%n] = 2 + i
+	return fixturePoint(fixtureSpace(names...), vals...)
 }
 
 // TestEntropyStopperMinIterationsScalesWithFactors: the exploration floor

@@ -142,7 +142,7 @@ func (s *Suite) Result(name string, modes Modes) (*AppResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("exp: manual design for %s: %w", name, err)
 		}
-		r.ManualReport = hls.EstimateWith(r.Facts, ann, s.Device, int64(r.App.Tasks), hls.Options{StageSplit: r.App.Manual.StageSplit})
+		r.ManualReport = hls.EstimateWith(r.Facts, r.Facts.DesignOf(ann), s.Device, int64(r.App.Tasks), hls.Options{StageSplit: r.App.Manual.StageSplit})
 	}
 	if modes.Vanilla && r.Vanilla == nil {
 		// Stock OpenTuner sees no gradient in the infeasible region.

@@ -111,42 +111,69 @@ func Analyze(k *cir.Kernel) *Facts {
 	}
 }
 
+// Design is one design point of a kernel in the form the estimator reads
+// it: Loops[i] is the directive of the kernel's i-th loop in preorder
+// (aligned with Facts.Info.All) and Widths[j] the interface bit-width of
+// its Params[j], 0 meaning the element width.
+type Design struct {
+	Loops  []cir.LoopOpt
+	Widths []int
+}
+
+// DesignOf reads the directives of ann, an annotation (merlin.Annotate)
+// of the kernel f was computed from, into f's Design layout. It panics
+// when ann's loop nest is not f's.
+func (f *Facts) DesignOf(ann *cir.Kernel) Design {
+	var buf [16]*cir.Loop
+	loops := cir.AppendLoops(buf[:0], ann.Body)
+	if len(loops) != len(f.Info.All) {
+		panic(fmt.Sprintf("hls: kernel %s has %d loops, its facts %d", ann.Name, len(loops), len(f.Info.All)))
+	}
+	if len(ann.Params) != len(f.Info.Kernel.Params) {
+		panic(fmt.Sprintf("hls: kernel %s has %d params, its facts %d", ann.Name, len(ann.Params), len(f.Info.Kernel.Params)))
+	}
+	d := Design{Loops: make([]cir.LoopOpt, len(loops)), Widths: make([]int, len(ann.Params))}
+	for i, li := range f.Info.All {
+		if loops[i].ID != li.Loop.ID {
+			panic(fmt.Sprintf("hls: kernel %s loop %d is %s, its facts' %s", ann.Name, i, loops[i].ID, li.Loop.ID))
+		}
+		d.Loops[i] = loops[i].Opt
+	}
+	for j := range ann.Params {
+		d.Widths[j] = ann.Params[j].BitWidth
+	}
+	return d
+}
+
 // Estimate performs high-level synthesis estimation for the annotated
 // kernel over a batch of n tasks on the given device, analyzing ann
 // afresh. Annotate never restructures and no analysis reads a
-// directive, so a caller pricing many annotations of one kernel
+// directive, so a caller pricing many design points of one kernel
 // analyzes that kernel once and calls EstimateWith instead.
 func Estimate(ann *cir.Kernel, dev *fpga.Device, n int64, opt Options) Report {
-	return EstimateWith(Analyze(ann), ann, dev, n, opt)
+	f := Analyze(ann)
+	return EstimateWith(f, f.DesignOf(ann), dev, n, opt)
 }
 
-// EstimateWith is Estimate for ann, an annotation (merlin.Annotate) of
-// the kernel f was computed from, priced from f instead of a fresh
-// analysis. The result is identical to Estimate's: Annotate never
-// restructures — it writes only Loop.Opt and Param.BitWidth into a
-// clone — and no analysis behind Facts reads either field, so every
-// annotation of a kernel has that kernel's facts. The directives are
-// read from ann: loop options by position in its preorder loop list,
-// which is aligned with f.Info.All, and interface widths from
-// ann.Params. EstimateWith panics when ann's loop nest is not f's.
-func EstimateWith(f *Facts, ann *cir.Kernel, dev *fpga.Device, n int64, opt Options) Report {
-	m := &model{kernel: ann, info: f.Info, dep: f.Dep, acc: f.Acc, dev: dev, n: n, opt: opt}
-	m.loops = cir.AppendLoops(m.loopBuf[:0], ann.Body)
-	if len(m.loops) != len(f.Info.All) {
-		panic(fmt.Sprintf("hls: kernel %s has %d loops, its facts %d", ann.Name, len(m.loops), len(f.Info.All)))
+// EstimateWith prices design d of the kernel f was computed from. It is
+// the one pricing path: Estimate lowers an annotated kernel into d, and
+// the DSE lowers a design point into d without annotating a clone. The
+// result is Estimate's on the equivalent annotation because Annotate
+// writes only Loop.Opt and Param.BitWidth and no analysis behind Facts
+// reads either field. EstimateWith panics when d does not fit f.
+func EstimateWith(f *Facts, d Design, dev *fpga.Device, n int64, opt Options) Report {
+	k := f.Info.Kernel
+	if len(d.Loops) != len(f.Info.All) || len(d.Widths) != len(k.Params) {
+		panic(fmt.Sprintf("hls: design of %d loops, %d widths for kernel %s of %d loops, %d params",
+			len(d.Loops), len(d.Widths), k.Name, len(f.Info.All), len(k.Params)))
 	}
-	for i, li := range f.Info.All {
-		if m.loops[i].ID != li.Loop.ID {
-			panic(fmt.Sprintf("hls: kernel %s loop %d is %s, its facts' %s", ann.Name, i, m.loops[i].ID, li.Loop.ID))
-		}
-	}
+	m := &model{kernel: k, info: f.Info, dep: f.Dep, acc: f.Acc, dev: dev, n: n, opt: opt, d: d}
 	return m.run()
 }
 
 type model struct {
-	// kernel is the annotated kernel; info, dep and acc are its facts,
-	// whose LoopInfo.Loop nodes may belong to the unannotated kernel, so
-	// loop directives are read through loopOpt.
+	// kernel is the kernel info, dep and acc describe; d carries the
+	// directives being priced, read through loopOpt and width.
 	kernel *cir.Kernel
 	info   *cir.KernelInfo
 	dep    *depend.Analysis
@@ -154,10 +181,7 @@ type model struct {
 	dev    *fpga.Device
 	n      int64
 	opt    Options
-	// loops are kernel's loops aligned with info.All; loopBuf backs
-	// them for the common small nest.
-	loops   []*cir.Loop
-	loopBuf [16]*cir.Loop
+	d      Design
 
 	infeasible     string
 	maxRep         int
@@ -346,8 +370,16 @@ func (m *model) inertLanes(li *cir.LoopInfo) bool {
 	return m.loopOpt(li).Pipeline == cir.PipeOff && len(m.dep.EffectiveRace(li.Loop.ID)) > 0
 }
 
-// loopOpt returns the directives annotated on li's loop.
-func (m *model) loopOpt(li *cir.LoopInfo) cir.LoopOpt { return m.loops[li.Index].Opt }
+// loopOpt returns the directives of li's loop.
+func (m *model) loopOpt(li *cir.LoopInfo) cir.LoopOpt { return m.d.Loops[li.Index] }
+
+// width returns the interface bit-width of kernel.Params[j], p.
+func (m *model) width(j int, p *cir.Param) int {
+	if bw := m.d.Widths[j]; bw != 0 {
+		return bw
+	}
+	return p.Elem.Bits()
+}
 
 // stage describes one scheduled region: its total latency and its
 // occupancy — the number of cycles it is busy per outer-iteration start,
@@ -575,15 +607,11 @@ func (m *model) flattenOps(li *cir.LoopInfo) (cir.OpCount, float64, bool) {
 // implied by the buffer bit-width directives, capped by the DDR channel.
 func (m *model) interfaceBytesPerCycle() float64 {
 	total := 0.0
-	for _, p := range m.kernel.Params {
+	for j, p := range m.kernel.Params {
 		if !p.IsArray {
 			continue
 		}
-		bw := p.BitWidth
-		if bw == 0 {
-			bw = p.Elem.Bits()
-		}
-		total += float64(bw) / 8
+		total += float64(m.width(j, &p)) / 8
 	}
 	if cap := float64(m.dev.DDRBytesPerCycle); total > cap || total == 0 {
 		total = cap
@@ -658,7 +686,7 @@ func (m *model) gatherFloor() float64 {
 // the lanes issuing them.
 func (m *model) memCycles(u float64) (perPort, aggregate float64) {
 	var totalBytes, gatherCyc float64
-	for _, p := range m.kernel.Params {
+	for j, p := range m.kernel.Params {
 		if !p.IsArray {
 			continue
 		}
@@ -676,11 +704,7 @@ func (m *model) memCycles(u float64) (perPort, aggregate float64) {
 		eb := float64(p.Elem.Bits()) / 8
 		bytes := m.stagedElems(&p) * eb * u
 		totalBytes += bytes
-		bw := p.BitWidth
-		if bw == 0 {
-			bw = p.Elem.Bits()
-		}
-		perCycle := float64(bw) / 8
+		perCycle := float64(m.width(j, &p)) / 8
 		if c := bytes / perCycle; c > perPort {
 			perPort = c
 		}
@@ -696,7 +720,7 @@ func (m *model) bottleneckSite(tag string) string {
 	var best string
 	var bestCost float64
 	var bestPr *access.ParamProfile
-	for _, p := range m.kernel.Params {
+	for j, p := range m.kernel.Params {
 		if !p.IsArray {
 			continue
 		}
@@ -710,11 +734,7 @@ func (m *model) bottleneckSite(tag string) string {
 		} else {
 			bytes := m.stagedElems(&p) * float64(p.Elem.Bits()) / 8
 			if tag == "port-contention" {
-				bw := p.BitWidth
-				if bw == 0 {
-					bw = p.Elem.Bits()
-				}
-				cost = bytes / (float64(bw) / 8)
+				cost = bytes / (float64(m.width(j, &p)) / 8)
 			} else {
 				cost = bytes / float64(m.dev.DDRBytesPerCycle)
 			}
@@ -873,15 +893,11 @@ func (m *model) resources() (lut, ff, dsp, bram int) {
 			burstTasks = 256
 		}
 	}
-	for _, p := range m.kernel.Params {
+	for j, p := range m.kernel.Params {
 		if !p.IsArray {
 			continue
 		}
-		bw := p.BitWidth
-		if bw == 0 {
-			bw = p.Elem.Bits()
-		}
-		lanes := maxInt(1, bw/72)
+		lanes := maxInt(1, m.width(j, &p)/72)
 		burstBytes := p.Length * p.Elem.Bits() / 8 * burstTasks
 		blocks := (burstBytes + bram18kBytes - 1) / bram18kBytes
 		if blocks < 1 {

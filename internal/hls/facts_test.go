@@ -63,9 +63,9 @@ func genSubjects(t *testing.T) []subject {
 	return out
 }
 
-// visited returns the distinct points an S2FA DSE of s at seed hands to
-// its evaluator, in first-visit order.
-func visited(s subject, seed int64) []space.Point {
+// visited returns the distinct points a DSE of s under cfg hands to its
+// evaluator, in first-visit order.
+func visited(s subject, cfg dse.Config) []space.Point {
 	inner := dse.NewEvaluator(s.k, s.sp, fpga.VU9P(), s.n, hls.Options{})
 	seen := map[string]bool{}
 	var pts []space.Point
@@ -76,8 +76,29 @@ func visited(s subject, seed int64) []space.Point {
 		}
 		return inner(pt)
 	}
-	dse.Run(s.k, s.sp, rec, dse.S2FAConfig(seed))
+	dse.Run(s.k, s.sp, rec, cfg)
 	return pts
+}
+
+// outOfDomain returns, per parameter, a random point of s carrying the
+// out-of-domain values the lint crosscheck builds: twice the maximum
+// parallel factor, or a 48-bit interface width.
+func outOfDomain(s subject, rng *rand.Rand) []space.Point {
+	var out []space.Point
+	for i := range s.sp.Params {
+		p := &s.sp.Params[i]
+		pt := s.sp.RandomPoint(rng)
+		switch p.Kind {
+		case space.FactorParallel:
+			pt.Set(i, p.Max*2)
+		case space.FactorBitWidth:
+			pt.Set(i, 48)
+		default:
+			continue
+		}
+		out = append(out, pt)
+	}
+	return out
 }
 
 // extremes returns directive sets the DSE guards never let through:
@@ -96,46 +117,66 @@ func extremes(k *cir.Kernel) []merlin.Directives {
 	return append(out, all)
 }
 
-// TestEstimateWithMatchesEstimate checks that pricing an annotation from
-// the base kernel's facts reproduces a fresh estimate of the annotation,
-// field for field, on every design point the S2FA DSE estimates (12 apps
-// x seeds {1,7,42}, one generated kernel per family), on the
-// performance and area seeds, on each app's manual design, and on
-// flatten and maximal-parallel points the DSE guards filter out.
+// TestEstimateWithMatchesEstimate checks that pricing a design from the
+// base kernel's facts reproduces a fresh estimate of its annotation,
+// field for field, and that the DSE evaluator, which prices a design
+// point without annotating, rejects exactly the points Annotate rejects
+// and reports exactly Estimate's verdict on the rest. Points: every point
+// the S2FA DSE estimates (12 apps x seeds {1,7,42}, one generated kernel
+// per family), every point the vanilla DSE visits (seed 1), the
+// performance and area seeds, and the lint crosscheck's out-of-domain
+// points; directive sets: each app's manual design and flatten and
+// maximal-parallel points the DSE guards filter out.
 func TestEstimateWithMatchesEstimate(t *testing.T) {
 	dev := fpga.VU9P()
 	tags := map[string]int{}
-	check := func(s subject, f *hls.Facts, d merlin.Directives, opt hls.Options) {
+	check := func(s subject, f *hls.Facts, d merlin.Directives, opt hls.Options) (hls.Report, bool) {
 		t.Helper()
 		ann, err := merlin.Annotate(s.k, d)
 		if err != nil {
-			return // rejected before estimation
+			tags["merlin-rejected"]++
+			return hls.Report{}, false
 		}
-		got := hls.EstimateWith(f, ann, dev, s.n, opt)
+		got := hls.EstimateWith(f, f.DesignOf(ann), dev, s.n, opt)
 		want := hls.Estimate(ann, dev, s.n, opt)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s %v:\n got %+v\nwant %+v", s.name, d, got, want)
 		}
 		tags[got.Bottleneck]++
+		return want, true
 	}
 	subjects := append(appSubjects(t), genSubjects(t)...)
+	rng := rand.New(rand.NewSource(42))
 	for i, s := range subjects {
 		f := hls.Analyze(s.k)
+		eval := dse.NewFactsEvaluator(f, s.sp, dev, s.n, hls.Options{}, nil)
+		checkPoint := func(pt space.Point) {
+			t.Helper()
+			want, estimated := check(s, f, s.sp.Directives(pt), hls.Options{})
+			got, priced := dse.Report(eval(pt))
+			if priced != estimated || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s %v: evaluator priced=%v %+v, Annotate+Estimate estimated=%v %+v",
+					s.name, pt, priced, got, estimated, want)
+			}
+		}
 		seeds := []int64{1, 7, 42}
 		if i >= len(apps.Names()) {
 			seeds = seeds[:1]
 		}
-		seen := map[string]bool{}
+		var pts []space.Point
 		for _, seed := range seeds {
-			for _, pt := range visited(s, seed) {
-				if key := pt.Key(); !seen[key] {
-					seen[key] = true
-					check(s, f, s.sp.Directives(pt), hls.Options{})
-				}
+			pts = append(pts, visited(s, dse.S2FAConfig(seed))...)
+		}
+		pts = append(pts, visited(s, dse.VanillaConfig(1))...)
+		pts = append(pts, s.sp.PerformanceSeed(), s.sp.AreaSeed())
+		pts = append(pts, outOfDomain(s, rng)...)
+		seen := map[space.PackedKey]bool{}
+		for _, pt := range pts {
+			if key := pt.Packed(); !seen[key] {
+				seen[key] = true
+				checkPoint(pt)
 			}
 		}
-		check(s, f, s.sp.Directives(s.sp.PerformanceSeed()), hls.Options{})
-		check(s, f, s.sp.Directives(s.sp.AreaSeed()), hls.Options{})
 		for _, d := range extremes(s.k) {
 			check(s, f, d, hls.Options{})
 		}
@@ -144,15 +185,17 @@ func TestEstimateWithMatchesEstimate(t *testing.T) {
 			check(s, f, merlin.Directives{Loops: loops, BitWidths: bw}, hls.Options{StageSplit: a.Manual.StageSplit})
 		}
 	}
-	for _, tag := range []string{"resource-overflow", "routing-congestion", "flatten-structure"} {
+	for _, tag := range []string{"merlin-rejected", "resource-overflow", "routing-congestion", "flatten-structure"} {
 		if tags[tag] == 0 {
 			t.Errorf("no %s point compared; verdicts seen: %v", tag, tags)
 		}
 	}
+	t.Logf("verdicts compared: %v", tags)
 }
 
 // TestEstimateWithRejectsForeignKernel checks that facts of one kernel
-// cannot silently price another.
+// cannot silently price another: neither its annotations (DesignOf) nor
+// a design of its shape (EstimateWith) are accepted.
 func TestEstimateWithRejectsForeignKernel(t *testing.T) {
 	ks, err := apps.Get("KMeans").Kernel()
 	if err != nil {
@@ -162,12 +205,21 @@ func TestEstimateWithRejectsForeignKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("EstimateWith priced a kernel its facts do not describe")
-		}
-	}()
-	hls.EstimateWith(hls.Analyze(ks), other, fpga.VU9P(), 64, hls.Options{})
+	f := hls.Analyze(ks)
+	mustPanic := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s accepted a kernel the facts do not describe", what)
+			}
+		}()
+		fn()
+	}
+	mustPanic("DesignOf", func() { f.DesignOf(other) })
+	foreign := hls.Analyze(other)
+	mustPanic("EstimateWith", func() {
+		hls.EstimateWith(f, foreign.DesignOf(other), fpga.VU9P(), 64, hls.Options{})
+	})
 }
 
 // TestAnalysesIgnoreDirectives guards the invariant EstimateWith rests

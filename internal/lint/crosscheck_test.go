@@ -48,7 +48,7 @@ func TestLintErrorsShadowDynamicRejection(t *testing.T) {
 					continue
 				}
 				pt := sp.RandomPoint(rng)
-				pt[p.Name] = space.PipeFlattenVal
+				pt.Set(i, space.PipeFlattenVal)
 				pts = append(pts, pt)
 			}
 
@@ -62,9 +62,9 @@ func TestLintErrorsShadowDynamicRejection(t *testing.T) {
 				pt := sp.RandomPoint(rng)
 				switch p.Kind {
 				case space.FactorParallel:
-					pt[p.Name] = p.Max * 2
+					pt.Set(i, p.Max*2)
 				case space.FactorBitWidth:
-					pt[p.Name] = 48
+					pt.Set(i, 48)
 				default:
 					continue
 				}

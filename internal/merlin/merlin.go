@@ -48,7 +48,9 @@ func (d Directives) Clone() Directives {
 
 // Annotate returns a clone of k with the directives attached as pragmas.
 // Unknown loop IDs or parameters are reported as errors: the design space
-// and the kernel must agree.
+// and the kernel must agree. Every directive must pass ValidateLoopOpt or
+// ValidateBitWidth, the legality rules callers that price directives
+// without annotating (the DSE evaluator) apply too.
 func Annotate(k *cir.Kernel, d Directives) (*cir.Kernel, error) {
 	out := cir.CloneKernel(k)
 	for id, opt := range d.Loops {
@@ -56,7 +58,7 @@ func Annotate(k *cir.Kernel, d Directives) (*cir.Kernel, error) {
 		if l == nil {
 			return nil, fmt.Errorf("merlin: directive for unknown loop %q: %w", id, ErrUnknownLoop)
 		}
-		if err := validateOpt(l, opt); err != nil {
+		if err := ValidateLoopOpt(l, opt); err != nil {
 			return nil, err
 		}
 		l.Opt = opt
@@ -66,11 +68,8 @@ func Annotate(k *cir.Kernel, d Directives) (*cir.Kernel, error) {
 		if p == nil {
 			return nil, fmt.Errorf("merlin: bit-width directive for unknown parameter %q: %w", name, ErrUnknownParam)
 		}
-		if !p.IsArray {
-			return nil, fmt.Errorf("merlin: bit-width directive on scalar parameter %q: %w", name, ErrIllegalBitWidth)
-		}
-		if err := validateBitWidth(bw); err != nil {
-			return nil, fmt.Errorf("merlin: parameter %q: %w", name, err)
+		if err := ValidateBitWidth(p, bw); err != nil {
+			return nil, err
 		}
 		p.BitWidth = bw
 	}
@@ -128,7 +127,10 @@ func Materialize(k *cir.Kernel, d Directives) (*cir.Kernel, error) {
 	return out, nil
 }
 
-func validateOpt(l *cir.Loop, opt cir.LoopOpt) error {
+// ValidateLoopOpt reports whether Annotate accepts directive opt on loop
+// l: no negative factor, and tile and parallel factors within a constant
+// trip count.
+func ValidateLoopOpt(l *cir.Loop, opt cir.LoopOpt) error {
 	tc := l.TripCount()
 	if opt.Tile < 0 || opt.Parallel < 0 {
 		return fmt.Errorf("merlin: loop %s: negative factor: %w", l.ID, ErrIllegalFactor)
@@ -144,12 +146,17 @@ func validateOpt(l *cir.Loop, opt cir.LoopOpt) error {
 	return nil
 }
 
-func validateBitWidth(bw int) error {
+// ValidateBitWidth reports whether Annotate accepts interface width bw on
+// parameter p: an array buffer, and a power of two in [8, 512].
+func ValidateBitWidth(p *cir.Param, bw int) error {
+	if !p.IsArray {
+		return fmt.Errorf("merlin: bit-width directive on scalar parameter %q: %w", p.Name, ErrIllegalBitWidth)
+	}
 	if bw < 8 || bw > 512 {
-		return fmt.Errorf("bit-width %d outside (8, 512]: %w", bw, ErrIllegalBitWidth)
+		return fmt.Errorf("merlin: parameter %q: bit-width %d outside (8, 512]: %w", p.Name, bw, ErrIllegalBitWidth)
 	}
 	if bw&(bw-1) != 0 {
-		return fmt.Errorf("bit-width %d is not a power of two: %w", bw, ErrIllegalBitWidth)
+		return fmt.Errorf("merlin: parameter %q: bit-width %d is not a power of two: %w", p.Name, bw, ErrIllegalBitWidth)
 	}
 	return nil
 }

@@ -16,13 +16,14 @@ func (c Constraint) String() string {
 }
 
 // Restrict returns a new Space whose parameter domains are narrowed by the
-// given constraints. Unconstrained parameters keep their full domains. The
+// given constraints. Unconstrained parameters keep their full domains, and
+// the new space shares s's layout, so their points are interchangeable. The
 // partitions the DSE builds this way are disjoint sub-boxes of the
 // original space; their union over a decision tree's leaves is the whole
 // space, which is how the paper argues partitioning preserves optimality
 // (§4.3.1).
 func Restrict(s *Space, cons []Constraint) (*Space, error) {
-	out := &Space{Kernel: s.Kernel, byName: map[string]int{}}
+	out := &Space{Kernel: s.Kernel, Params: make([]Param, 0, len(s.Params)), l: s.l}
 	byParam := map[string]Constraint{}
 	for _, c := range cons {
 		if prev, ok := byParam[c.Param]; ok {
@@ -56,7 +57,7 @@ func Restrict(s *Space, cons []Constraint) (*Space, error) {
 				p.Min, p.Max = p.Min+lo, p.Min+hi
 			}
 		}
-		out.add(p)
+		out.Params = append(out.Params, p)
 	}
 	return out, nil
 }

@@ -15,8 +15,6 @@ package space
 import (
 	"fmt"
 	"math/rand"
-	"sort"
-	"strings"
 
 	"s2fa/internal/cir"
 	"s2fa/internal/merlin"
@@ -131,37 +129,11 @@ func (p *Param) Clamp(v int) int {
 	return v
 }
 
-// Point is a complete design-point assignment: parameter name to value.
-type Point map[string]int
-
-// Clone copies the point.
-func (pt Point) Clone() Point {
-	out := make(Point, len(pt))
-	for k, v := range pt {
-		out[k] = v
-	}
-	return out
-}
-
-// Key returns a canonical string identity for deduplication.
-func (pt Point) Key() string {
-	keys := make([]string, 0, len(pt))
-	for k := range pt {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&b, "%s=%d;", k, pt[k])
-	}
-	return b.String()
-}
-
 // Space is the identified design space of one kernel.
 type Space struct {
 	Kernel *cir.Kernel
 	Params []Param
-	byName map[string]int
+	l      *layout
 }
 
 // MaxTaskParallel caps the parallel/tiling factors considered for the
@@ -174,14 +146,14 @@ const MaxTaskParallel = 256
 // counts and buffer widths (paper §4.1).
 func Identify(k *cir.Kernel) *Space {
 	info := cir.Analyze(k)
-	s := &Space{Kernel: k, byName: map[string]int{}}
+	var params []Param
 
 	bwEnum := []int{16, 32, 64, 128, 256, 512} // 8 < 2^n <= 512
 	for _, p := range k.Params {
 		if !p.IsArray {
 			continue
 		}
-		s.add(Param{
+		params = append(params, Param{
 			Name:   p.Name + ".bitwidth",
 			Kind:   FactorBitWidth,
 			Buffer: p.Name,
@@ -197,33 +169,50 @@ func Identify(k *cir.Kernel) *Space {
 		if maxF < 1 {
 			maxF = 1
 		}
-		s.add(Param{
+		params = append(params, Param{
 			Name: l.ID + ".tile", Kind: FactorTile, LoopID: l.ID,
 			Min: 1, Max: maxInt(1, maxF), Depth: li.Depth,
-		})
-		s.add(Param{
+		}, Param{
 			Name: l.ID + ".parallel", Kind: FactorParallel, LoopID: l.ID,
 			Min: 1, Max: maxInt(1, maxF), Depth: li.Depth,
-		})
-		s.add(Param{
+		}, Param{
 			Name: l.ID + ".pipeline", Kind: FactorPipeline, LoopID: l.ID,
 			Enum: []int{PipeOffVal, PipeOnVal, PipeFlattenVal}, Depth: li.Depth,
 		})
 	}
-	return s
+	return New(k, params)
 }
 
-func (s *Space) add(p Param) {
-	s.byName[p.Name] = len(s.Params)
-	s.Params = append(s.Params, p)
+// New returns the space of kernel k over params, building the layout its
+// points and every space derived from it share.
+func New(k *cir.Kernel, params []Param) *Space {
+	return &Space{Kernel: k, Params: params, l: newLayout(params)}
+}
+
+// Index returns the position of the named parameter in Params, or -1.
+func (s *Space) Index(name string) int {
+	if i, ok := s.l.index[name]; ok {
+		return i
+	}
+	return -1
 }
 
 // Param returns the named parameter, or nil.
 func (s *Space) Param(name string) *Param {
-	if i, ok := s.byName[name]; ok {
+	if i := s.Index(name); i >= 0 {
 		return &s.Params[i]
 	}
 	return nil
+}
+
+// Value returns pt's value for Params[i]: by position when pt is a point
+// of s's layout, by name otherwise. The zero Point assigns nothing, as an
+// infeasible dse.Outcome's best point does.
+func (s *Space) Value(pt Point, i int) (int, bool) {
+	if pt.l == s.l {
+		return pt.vals[i], true
+	}
+	return pt.Get(s.Params[i].Name)
 }
 
 // Cardinality returns the total number of design points as a float (the
@@ -238,22 +227,21 @@ func (s *Space) Cardinality() float64 {
 
 // RandomPoint draws a uniform random point.
 func (s *Space) RandomPoint(rng *rand.Rand) Point {
-	pt := make(Point, len(s.Params))
+	pt := s.NewPoint()
 	for i := range s.Params {
-		p := &s.Params[i]
-		pt[p.Name] = p.Random(rng)
+		pt.vals[i] = s.Params[i].Random(rng)
 	}
 	return pt
 }
 
 // Validate checks that pt assigns an in-domain value to every parameter.
 func (s *Space) Validate(pt Point) error {
-	if len(pt) != len(s.Params) {
-		return fmt.Errorf("space: point has %d assignments, space has %d parameters", len(pt), len(s.Params))
+	if pt.Len() != len(s.Params) {
+		return fmt.Errorf("space: point has %d assignments, space has %d parameters", pt.Len(), len(s.Params))
 	}
 	for i := range s.Params {
 		p := &s.Params[i]
-		v, ok := pt[p.Name]
+		v, ok := s.Value(pt, i)
 		if !ok {
 			return fmt.Errorf("space: point missing parameter %q", p.Name)
 		}
@@ -270,7 +258,7 @@ func (s *Space) Directives(pt Point) merlin.Directives {
 	d := merlin.Directives{Loops: map[string]cir.LoopOpt{}, BitWidths: map[string]int{}}
 	for i := range s.Params {
 		p := &s.Params[i]
-		v, ok := pt[p.Name]
+		v, ok := s.Value(pt, i)
 		if !ok {
 			continue
 		}
@@ -287,18 +275,23 @@ func (s *Space) Directives(pt Point) merlin.Directives {
 			d.Loops[p.LoopID] = opt
 		case FactorPipeline:
 			opt := d.Loops[p.LoopID]
-			switch v {
-			case PipeOnVal:
-				opt.Pipeline = cir.PipeOn
-			case PipeFlattenVal:
-				opt.Pipeline = cir.PipeFlatten
-			default:
-				opt.Pipeline = cir.PipeOff
-			}
+			opt.Pipeline = PipelineMode(v)
 			d.Loops[p.LoopID] = opt
 		}
 	}
 	return d
+}
+
+// PipelineMode maps a pipeline factor value to its directive; values
+// other than PipeOnVal and PipeFlattenVal mean off.
+func PipelineMode(v int) cir.PipelineMode {
+	switch v {
+	case PipeOnVal:
+		return cir.PipeOn
+	case PipeFlattenVal:
+		return cir.PipeFlatten
+	}
+	return cir.PipeOff
 }
 
 // PerformanceSeed returns the performance-driven seed of paper §4.3.2:
@@ -306,18 +299,18 @@ func (s *Space) Directives(pt Point) merlin.Directives {
 // bit-widths at 512. Aggressive — may be infeasible for complex kernels,
 // but slashes DSE iterations when it synthesizes.
 func (s *Space) PerformanceSeed() Point {
-	pt := make(Point, len(s.Params))
+	pt := s.NewPoint()
 	for i := range s.Params {
 		p := &s.Params[i]
 		switch p.Kind {
 		case FactorBitWidth:
-			pt[p.Name] = p.Clamp(512)
+			pt.vals[i] = p.Clamp(512)
 		case FactorTile:
-			pt[p.Name] = p.Clamp(1)
+			pt.vals[i] = p.Clamp(1)
 		case FactorParallel:
-			pt[p.Name] = p.Clamp(32)
+			pt.vals[i] = p.Clamp(32)
 		case FactorPipeline:
-			pt[p.Name] = p.Clamp(PipeOnVal)
+			pt.vals[i] = p.Clamp(PipeOnVal)
 		}
 	}
 	return pt
@@ -328,16 +321,16 @@ func (s *Space) PerformanceSeed() Point {
 // configuration, guaranteed (modulo device size) to start the search in
 // the feasible region.
 func (s *Space) AreaSeed() Point {
-	pt := make(Point, len(s.Params))
+	pt := s.NewPoint()
 	for i := range s.Params {
 		p := &s.Params[i]
 		switch p.Kind {
 		case FactorBitWidth:
-			pt[p.Name] = p.Clamp(16)
+			pt.vals[i] = p.Clamp(16)
 		case FactorPipeline:
-			pt[p.Name] = p.Clamp(PipeOffVal)
+			pt.vals[i] = p.Clamp(PipeOffVal)
 		default:
-			pt[p.Name] = p.Clamp(1)
+			pt.vals[i] = p.Clamp(1)
 		}
 	}
 	return pt

@@ -7,7 +7,19 @@ import (
 
 	"s2fa/internal/apps"
 	"s2fa/internal/cir"
+	"s2fa/internal/fpga"
 )
+
+// get reads the named parameter of pt (0 when absent).
+func get(pt Point, name string) int {
+	v, _ := pt.Get(name)
+	return v
+}
+
+// set assigns the named parameter of pt, a point of s.
+func set(s *Space, pt Point, name string, v int) {
+	pt.Set(s.Index(name), v)
+}
 
 func swSpace(t *testing.T) *Space {
 	t.Helper()
@@ -88,12 +100,18 @@ func TestValidateRejects(t *testing.T) {
 	s := swSpace(t)
 	rng := rand.New(rand.NewSource(9))
 	pt := s.RandomPoint(rng)
-	pt["L1.parallel"] = 100000
+	set(s, pt, "L1.parallel", 100000)
 	if err := s.Validate(pt); err == nil {
 		t.Error("out-of-domain value accepted")
 	}
-	delete(pt, "L1.parallel")
-	if err := s.Validate(pt); err == nil {
+	// A point of a space without L1.parallel.
+	var fewer []Param
+	for _, p := range s.Params {
+		if p.Name != "L1.parallel" {
+			fewer = append(fewer, p)
+		}
+	}
+	if err := s.Validate(New(s.Kernel, fewer).AreaSeed()); err == nil {
 		t.Error("missing parameter accepted")
 	}
 }
@@ -105,14 +123,14 @@ func TestSeeds(t *testing.T) {
 		t.Fatalf("performance seed invalid: %v", err)
 	}
 	// Paper §4.3.2: pipeline all loops, parallel 32, bit-width 512.
-	if perf["L1.parallel"] != 32 || perf["in_1.bitwidth"] != 512 || perf["L1.pipeline"] != PipeOnVal {
+	if get(perf, "L1.parallel") != 32 || get(perf, "in_1.bitwidth") != 512 || get(perf, "L1.pipeline") != PipeOnVal {
 		t.Errorf("performance seed = %v", perf)
 	}
 	area := s.AreaSeed()
 	if err := s.Validate(area); err != nil {
 		t.Fatalf("area seed invalid: %v", err)
 	}
-	if area["L1.parallel"] != 1 || area["in_1.bitwidth"] != 16 || area["L1.pipeline"] != PipeOffVal {
+	if get(area, "L1.parallel") != 1 || get(area, "in_1.bitwidth") != 16 || get(area, "L1.pipeline") != PipeOffVal {
 		t.Errorf("area seed = %v", area)
 	}
 }
@@ -120,10 +138,10 @@ func TestSeeds(t *testing.T) {
 func TestDirectivesMapping(t *testing.T) {
 	s := swSpace(t)
 	pt := s.AreaSeed()
-	pt["L1.parallel"] = 8
-	pt["L1.tile"] = 4
-	pt["L1.pipeline"] = PipeFlattenVal
-	pt["in_1.bitwidth"] = 256
+	set(s, pt, "L1.parallel", 8)
+	set(s, pt, "L1.tile", 4)
+	set(s, pt, "L1.pipeline", PipeFlattenVal)
+	set(s, pt, "in_1.bitwidth", 256)
 	d := s.Directives(pt)
 	opt := d.Loops["L1"]
 	if opt.Parallel != 8 || opt.Tile != 4 || opt.Pipeline != cir.PipeFlatten {
@@ -159,8 +177,8 @@ func TestRestrict(t *testing.T) {
 	}
 	// Seeds clamp into the sub-box.
 	area := sub.AreaSeed()
-	if area["L0.pipeline"] != PipeOnVal {
-		t.Errorf("area seed pipeline = %d, want clamped to on", area["L0.pipeline"])
+	if get(area, "L0.pipeline") != PipeOnVal {
+		t.Errorf("area seed pipeline = %d, want clamped to on", get(area, "L0.pipeline"))
 	}
 	if err := sub.Validate(area); err != nil {
 		t.Errorf("area seed invalid in subspace: %v", err)
@@ -198,5 +216,46 @@ func TestClamp(t *testing.T) {
 	par := s.Param("L1.parallel")
 	if par.Clamp(0) != 1 || par.Clamp(9999) != 127 || par.Clamp(50) != 50 {
 		t.Error("range clamp broken")
+	}
+}
+
+// TestDerivedSpacesShareLayout checks that every space derived from an
+// identified one shares its layout, so points move between the root
+// space and its partitions without translation.
+func TestDerivedSpacesShareLayout(t *testing.T) {
+	s := swSpace(t)
+	sub, err := Restrict(s, []Constraint{{Param: "L1.parallel", LoOrd: 0, HiOrd: 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pruned, removed := PruneStatic(s, s.Kernel)
+	if removed == 0 {
+		t.Fatal("fixture: PruneStatic removed nothing on S-W")
+	}
+	derived := map[string]*Space{"Restrict": sub, "PruneStatic": pruned}
+	fired := false
+	for _, name := range apps.Names() {
+		k, err := apps.Get(name).Kernel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		root := Identify(k)
+		if r, n := RestrictFromRanges(root, fpga.VU9P()); n > 0 {
+			fired = true
+			if r.l != root.l {
+				t.Errorf("%s: RestrictFromRanges built a new layout", name)
+			}
+		}
+	}
+	if !fired {
+		t.Error("fixture: RestrictFromRanges removed nothing on any app")
+	}
+	for how, d := range derived {
+		if d.l != s.l {
+			t.Errorf("%s built a new layout", how)
+		}
+		if d.AreaSeed().l != s.l {
+			t.Errorf("%s: points do not share the root layout", how)
+		}
 	}
 }

@@ -78,7 +78,7 @@ type proposal struct {
 // and the uniform fallback fills the remainder.
 func (d *Driver) propose(k int) []proposal {
 	var batch []proposal
-	inBatch := map[string]bool{}
+	inBatch := map[space.PackedKey]bool{}
 	for len(batch) < k {
 		found := false
 		for attempt := 0; attempt < 16; attempt++ {
@@ -92,7 +92,7 @@ func (d *Driver) propose(k int) []proposal {
 					obs.Int("uses", st.Uses))
 			}
 			pt := d.Techniques[ti].Propose(d.ctx)
-			key := pt.Key()
+			key := pt.Packed()
 			if d.DB.Seen(pt) || inBatch[key] {
 				// Re-proposing an explored point wastes the slot; tell
 				// the bandit so the technique loses credit.
@@ -113,10 +113,11 @@ func (d *Driver) propose(k int) []proposal {
 		if !found {
 			// Fall back to uniform sampling to keep the batch filled.
 			pt := d.Space.RandomPoint(d.Rng)
-			if d.DB.Seen(pt) || inBatch[pt.Key()] {
+			key := pt.Packed()
+			if d.DB.Seen(pt) || inBatch[key] {
 				break // space exhausted (tiny test spaces)
 			}
-			inBatch[pt.Key()] = true
+			inBatch[key] = true
 			batch = append(batch, proposal{tech: -1, point: pt})
 		}
 	}

@@ -16,7 +16,7 @@ type PatternSearch struct {
 	// it was derived from, retry the same (param, move) slot first.
 	stickySlot  int
 	sticky      bool
-	pendingKey  string
+	pendingKey  space.PackedKey
 	pendingSlot int
 	pendingObj  float64
 }
@@ -59,11 +59,12 @@ func (p *PatternSearch) Propose(ctx *Context) space.Point {
 // the move is a no-op or already explored.
 func (p *PatternSearch) candidate(ctx *Context, base space.Point, slot int) (space.Point, bool) {
 	if slot < 0 || slot >= 4*len(ctx.Space.Params) {
-		return nil, false
+		return space.Point{}, false
 	}
-	prm := &ctx.Space.Params[slot/4]
+	i := slot / 4
+	prm := &ctx.Space.Params[i]
 	move := slot % 4
-	cur := base[prm.Name]
+	cur := base.At(i)
 	var next int
 	switch move {
 	case 0:
@@ -76,18 +77,18 @@ func (p *PatternSearch) candidate(ctx *Context, base space.Point, slot int) (spa
 		next = prm.ValueAt(minI(prm.Size()-1, maxI(0, prm.Ordinal(cur)-1)))
 	}
 	if next == cur {
-		return nil, false
+		return space.Point{}, false
 	}
 	cand := base.Clone()
-	cand[prm.Name] = next
+	cand.Set(i, next)
 	if ctx.DB.Seen(cand) {
-		return nil, false
+		return space.Point{}, false
 	}
 	return cand, true
 }
 
 func (p *PatternSearch) remember(cand space.Point, slot int, baseObj float64) {
-	p.pendingKey = cand.Key()
+	p.pendingKey = cand.Packed()
 	p.pendingSlot = slot
 	p.pendingObj = baseObj
 }
@@ -95,7 +96,7 @@ func (p *PatternSearch) remember(cand space.Point, slot int, baseObj float64) {
 // Feedback implements Technique: a move that beat the incumbent it was
 // derived from becomes sticky.
 func (p *PatternSearch) Feedback(ctx *Context, r Result) {
-	if r.Point.Key() != p.pendingKey {
+	if r.Point.Packed() != p.pendingKey {
 		return
 	}
 	p.pendingKey = ""

@@ -44,13 +44,13 @@ type DifferentialEvolution struct {
 	pop     []space.Point
 	fitness []float64
 	next    int // round-robin target index
-	pending map[string]int
+	pending map[space.PackedKey]int
 }
 
 // NewDifferentialEvolution returns a DE technique with the given
 // population size, differential weight F, and crossover rate CR.
 func NewDifferentialEvolution(popSize int, f, cr float64) *DifferentialEvolution {
-	return &DifferentialEvolution{popSize: popSize, f: f, cr: cr, pending: map[string]int{}}
+	return &DifferentialEvolution{popSize: popSize, f: f, cr: cr, pending: map[space.PackedKey]int{}}
 }
 
 // Name implements Technique.
@@ -62,7 +62,7 @@ func (d *DifferentialEvolution) Propose(ctx *Context) space.Point {
 		pt := ctx.Space.RandomPoint(ctx.Rng)
 		d.pop = append(d.pop, pt)
 		d.fitness = append(d.fitness, math.Inf(1))
-		d.pending[pt.Key()] = len(d.pop) - 1
+		d.pending[pt.Packed()] = len(d.pop) - 1
 		return pt
 	}
 	t := d.next % d.popSize
@@ -82,7 +82,7 @@ func (d *DifferentialEvolution) Propose(ctx *Context) space.Point {
 		}
 	}
 	pt := pointFromOrdinals(ctx.Space, trial)
-	d.pending[pt.Key()] = t
+	d.pending[pt.Packed()] = t
 	return pt
 }
 
@@ -109,7 +109,7 @@ func (d *DifferentialEvolution) Seed(ctx *Context, r Result) {
 // Feedback implements Technique: a trial replaces its target when it
 // improves on the target's fitness.
 func (d *DifferentialEvolution) Feedback(ctx *Context, r Result) {
-	key := r.Point.Key()
+	key := r.Point.Packed()
 	idx, ok := d.pending[key]
 	if !ok {
 		return
@@ -131,7 +131,7 @@ type PSO struct {
 	next      int
 	gbest     space.Point
 	gbestObj  float64
-	pending   map[string]int
+	pending   map[space.PackedKey]int
 }
 
 type psoParticle struct {
@@ -142,7 +142,7 @@ type psoParticle struct {
 
 // NewPSO returns a PSO technique with n particles.
 func NewPSO(n int) *PSO {
-	return &PSO{n: n, gbestObj: math.Inf(1), pending: map[string]int{}}
+	return &PSO{n: n, gbestObj: math.Inf(1), pending: map[space.PackedKey]int{}}
 }
 
 // Name implements Technique.
@@ -165,7 +165,7 @@ func (p *PSO) Propose(ctx *Context) space.Point {
 			vel[i] = (ctx.Rng.Float64() - 0.5) * float64(ctx.Space.Params[i].Size()) / 4
 		}
 		p.particles = append(p.particles, psoParticle{pos: pos, vel: vel, best: pt.Clone(), bestObj: math.Inf(1)})
-		p.pending[pt.Key()] = len(p.particles) - 1
+		p.pending[pt.Packed()] = len(p.particles) - 1
 		return pt
 	}
 	i := p.next % len(p.particles)
@@ -173,7 +173,7 @@ func (p *PSO) Propose(ctx *Context) space.Point {
 	part := &p.particles[i]
 	pbest := ordinalPoint(ctx.Space, part.best)
 	var gbest []float64
-	if p.gbest != nil {
+	if !p.gbest.IsZero() {
 		gbest = ordinalPoint(ctx.Space, p.gbest)
 	} else {
 		gbest = pbest
@@ -193,7 +193,7 @@ func (p *PSO) Propose(ctx *Context) space.Point {
 		part.pos[d] += part.vel[d]
 	}
 	pt := pointFromOrdinals(ctx.Space, part.pos)
-	p.pending[pt.Key()] = i
+	p.pending[pt.Packed()] = i
 	return pt
 }
 
@@ -219,7 +219,7 @@ func (p *PSO) Seed(ctx *Context, r Result) {
 
 // Feedback implements Technique.
 func (p *PSO) Feedback(ctx *Context, r Result) {
-	key := r.Point.Key()
+	key := r.Point.Packed()
 	i, ok := p.pending[key]
 	if !ok {
 		return
@@ -261,7 +261,7 @@ func (a *Annealer) Name() string { return "simulated-annealing" }
 
 // Seed implements Seedable: the annealer walks from the best seed.
 func (a *Annealer) Seed(ctx *Context, r Result) {
-	if a.cur == nil || r.Objective < a.curObj {
+	if a.cur.IsZero() || r.Objective < a.curObj {
 		a.cur = r.Point.Clone()
 		a.curObj = r.Objective
 	}
@@ -269,7 +269,7 @@ func (a *Annealer) Seed(ctx *Context, r Result) {
 
 // Propose implements Technique.
 func (a *Annealer) Propose(ctx *Context) space.Point {
-	if a.cur == nil {
+	if a.cur.IsZero() {
 		pt := ctx.Space.RandomPoint(ctx.Rng)
 		a.pending = pt
 		return pt
@@ -285,13 +285,13 @@ func (a *Annealer) Propose(ctx *Context) space.Point {
 
 // Feedback implements Technique.
 func (a *Annealer) Feedback(ctx *Context, r Result) {
-	if a.pending == nil || r.Point.Key() != a.pending.Key() {
+	if a.pending.IsZero() || !r.Point.Equal(a.pending) {
 		return
 	}
-	a.pending = nil
+	a.pending = space.Point{}
 	accept := false
 	switch {
-	case a.cur == nil || r.Objective < a.curObj:
+	case a.cur.IsZero() || r.Objective < a.curObj:
 		// Improvements (including reduced infeasibility penalty) are
 		// always taken; the DB tracks true feasible incumbents
 		// separately.
@@ -312,8 +312,9 @@ func (a *Annealer) Feedback(ctx *Context, r Result) {
 func neighbor(ctx *Context, pt space.Point, n int) space.Point {
 	out := pt.Clone()
 	for i := 0; i < n; i++ {
-		p := &ctx.Space.Params[ctx.Rng.Intn(len(ctx.Space.Params))]
-		ord := p.Ordinal(out[p.Name])
+		j := ctx.Rng.Intn(len(ctx.Space.Params))
+		p := &ctx.Space.Params[j]
+		ord := p.Ordinal(out.At(j))
 		if ord < 0 {
 			ord = 0
 		}
@@ -325,7 +326,7 @@ func neighbor(ctx *Context, pt space.Point, n int) space.Point {
 		if ord >= p.Size() {
 			ord = p.Size() - 1
 		}
-		out[p.Name] = p.ValueAt(ord)
+		out.Set(j, p.ValueAt(ord))
 	}
 	return out
 }

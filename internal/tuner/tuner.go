@@ -33,20 +33,20 @@ type Result struct {
 // DB stores every evaluated result and tracks the best feasible point.
 type DB struct {
 	Results []Result
-	seen    map[string]bool
+	seen    map[space.PackedKey]bool
 	best    *Result
 }
 
 // NewDB returns an empty result database.
 func NewDB() *DB {
-	return &DB{seen: map[string]bool{}}
+	return &DB{seen: map[space.PackedKey]bool{}}
 }
 
 // Add records a result, updating the incumbent. It returns true when the
 // result is a new global best.
 func (db *DB) Add(r Result) bool {
 	db.Results = append(db.Results, r)
-	db.seen[r.Point.Key()] = true
+	db.seen[r.Point.Packed()] = true
 	if r.Feasible && (db.best == nil || r.Objective < db.best.Objective) {
 		cp := r
 		db.best = &cp
@@ -61,7 +61,7 @@ func (db *DB) Best() *Result {
 }
 
 // Seen reports whether the point was already evaluated.
-func (db *DB) Seen(pt space.Point) bool { return db.seen[pt.Key()] }
+func (db *DB) Seen(pt space.Point) bool { return db.seen[pt.Packed()] }
 
 // Len returns the number of evaluated results.
 func (db *DB) Len() int { return len(db.Results) }
@@ -97,8 +97,8 @@ type Technique interface {
 func mutate(ctx *Context, pt space.Point, n int) space.Point {
 	out := pt.Clone()
 	for i := 0; i < n; i++ {
-		p := &ctx.Space.Params[ctx.Rng.Intn(len(ctx.Space.Params))]
-		out[p.Name] = p.Random(ctx.Rng)
+		j := ctx.Rng.Intn(len(ctx.Space.Params))
+		out.Set(j, ctx.Space.Params[j].Random(ctx.Rng))
 	}
 	return out
 }
@@ -120,13 +120,13 @@ func ordinalPoint(s *space.Space, pt space.Point) []float64 {
 	out := make([]float64, len(s.Params))
 	for i := range s.Params {
 		p := &s.Params[i]
-		out[i] = float64(p.Ordinal(pt[p.Name]))
+		out[i] = float64(p.Ordinal(pt.At(i)))
 	}
 	return out
 }
 
 func pointFromOrdinals(s *space.Space, ords []float64) space.Point {
-	pt := make(space.Point, len(s.Params))
+	pt := s.NewPoint()
 	for i := range s.Params {
 		p := &s.Params[i]
 		o := int(math.Round(ords[i]))
@@ -136,7 +136,7 @@ func pointFromOrdinals(s *space.Space, ords []float64) space.Point {
 		if o >= p.Size() {
 			o = p.Size() - 1
 		}
-		pt[p.Name] = p.ValueAt(o)
+		pt.Set(i, p.ValueAt(o))
 	}
 	return pt
 }

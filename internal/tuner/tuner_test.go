@@ -35,7 +35,7 @@ func bowl(s *space.Space, target space.Point) Evaluator {
 		var d float64
 		for i := range s.Params {
 			p := &s.Params[i]
-			diff := float64(p.Ordinal(pt[p.Name]) - p.Ordinal(target[p.Name]))
+			diff := float64(p.Ordinal(pt.At(i)) - p.Ordinal(target.At(i)))
 			d += diff * diff
 		}
 		return Result{Point: pt, Objective: d, Feasible: true, Minutes: 1}
@@ -109,22 +109,29 @@ func TestInfeasibleNeverBest(t *testing.T) {
 	}
 }
 
+// aPoint returns the point a=v of a one-parameter fixture space.
+func aPoint(v int) space.Point {
+	pt := space.New(nil, []space.Param{{Name: "a", Min: 0, Max: 100}}).NewPoint()
+	pt.Set(0, v)
+	return pt
+}
+
 func TestDBBestTracking(t *testing.T) {
 	db := NewDB()
-	pt := space.Point{"a": 1}
+	pt := aPoint(1)
 	if db.Add(Result{Point: pt, Objective: 5, Feasible: true}) != true {
 		t.Error("first feasible not newBest")
 	}
-	if db.Add(Result{Point: space.Point{"a": 2}, Objective: 9, Feasible: true}) {
+	if db.Add(Result{Point: aPoint(2), Objective: 9, Feasible: true}) {
 		t.Error("worse result reported as newBest")
 	}
-	if !db.Add(Result{Point: space.Point{"a": 3}, Objective: 1, Feasible: true}) {
+	if !db.Add(Result{Point: aPoint(3), Objective: 1, Feasible: true}) {
 		t.Error("better result not reported as newBest")
 	}
 	if db.Best().Objective != 1 || db.Len() != 3 {
 		t.Errorf("best=%v len=%d", db.Best().Objective, db.Len())
 	}
-	if !db.Seen(pt) || db.Seen(space.Point{"a": 42}) {
+	if !db.Seen(pt) || db.Seen(aPoint(42)) {
 		t.Error("Seen bookkeeping broken")
 	}
 }
@@ -176,8 +183,8 @@ func TestPatternSearchClimbsLadder(t *testing.T) {
 	s := quadSpace()
 	// Objective: monotone decreasing in L0.parallel — a pure ladder.
 	eval := func(pt space.Point) Result {
-		v := float64(pt["L0.parallel"])
-		return Result{Point: pt, Objective: 1000 - v, Feasible: true, Minutes: 1}
+		v, _ := pt.Get("L0.parallel")
+		return Result{Point: pt, Objective: 1000 - float64(v), Feasible: true, Minutes: 1}
 	}
 	d := NewDriver(s, eval, 5)
 	d.Techniques = []Technique{NewPatternSearch()}
@@ -188,8 +195,8 @@ func TestPatternSearchClimbsLadder(t *testing.T) {
 		d.Step(1)
 	}
 	best := d.DB.Best()
-	if best.Point["L0.parallel"] < 128 {
-		t.Errorf("pattern search stalled at parallel=%d", best.Point["L0.parallel"])
+	if v, _ := best.Point.Get("L0.parallel"); v < 128 {
+		t.Errorf("pattern search stalled at parallel=%d", v)
 	}
 }
 
@@ -238,9 +245,9 @@ func TestOrdinalEncodingRoundTrip(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		pt := s.RandomPoint(rng)
 		back := pointFromOrdinals(s, ordinalPoint(s, pt))
-		for k, v := range pt {
-			if back[k] != v {
-				t.Fatalf("roundtrip changed %s: %d -> %d", k, v, back[k])
+		for i := range s.Params {
+			if back.At(i) != pt.At(i) {
+				t.Fatalf("roundtrip changed %s: %d -> %d", s.Params[i].Name, pt.At(i), back.At(i))
 			}
 		}
 	}
